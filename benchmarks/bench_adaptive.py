@@ -198,8 +198,6 @@ def main(argv=None):
                 label: {
                     "chunks": cfg.chunks,
                     "start_estimate": cfg.start_estimate,
-                    "ordered_probes": cfg.ordered_probes,
-                    "early_exit": cfg.early_exit,
                     "provisional_exit": cfg.provisional_exit,
                     "provisional_min_frac": cfg.provisional_min_frac,
                     "provisional_pool_mult": cfg.provisional_pool_mult,

@@ -27,7 +27,7 @@ direction; see docs/PERFORMANCE.md):
 
 3. **Chunked early exit**: the ordered tables are processed in
    ``AdaptiveConfig.chunks`` slices; after each slice the engine verifies
-   the new threshold-crossers and re-checks T2/T1. A query whose
+   the new threshold-crossers and re-checks T2. A query whose
    termination rule is already satisfiable stops probing — the remaining
    tables are never scanned and their would-be crossers never verified.
    With ``chunks=1`` the single slice is the whole round and the mode is
@@ -36,39 +36,30 @@ direction; see docs/PERFORMANCE.md):
    large I/O savings. PageManager is only ever charged for buckets
    actually probed.
 
-Classic mode remains the bit-exactness oracle; adaptive mode preserves the
-result-size / sortedness / verified-distance contract and the budget
-semantics, but may settle for a smaller candidate pool. See docs/THEORY.md
-for which of the paper's guarantees survive.
+This module holds the schedule: the config, the estimator and the probe
+order. The query loop that runs it is the one block driver in
+:mod:`repro.core.batchengine`, shared with classic mode, which is the
+:data:`CLASSIC` preset of this schedule. Classic remains the bit-exactness
+oracle; adaptive mode preserves the result-size / sortedness /
+verified-distance contract and the budget semantics, but may settle for a
+smaller candidate pool. See docs/THEORY.md for which of the paper's
+guarantees survive.
 """
 
 from __future__ import annotations
 
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .. import kernels
 from ..kernels import row_searchsorted
-from ..obs import flight, trace
-from ..reliability.budget import as_budget_list
-from ..reliability.budget import tripped_cap as _tripped_cap_impl
-from .batchengine import (
-    MAX_ROUNDS,
-    BatchQueryCounter,
-    WithinRadiusTally,
-    _fallback,
-    _verify_many,
-)
-from .results import QueryResult, QueryStats
+from .counting import MAX_ROUNDS
 
-__all__ = ["AdaptiveConfig", "as_probe_config", "check_adaptive_supported",
-           "collide_levels", "estimate_start_levels",
-           "occupancy_start_levels", "occupancy_table",
-           "merge_start_levels", "probe_order", "saturation_level",
-           "adaptive_batch_query"]
+__all__ = ["AdaptiveConfig", "CLASSIC", "as_probe_config",
+           "check_adaptive_supported", "collide_levels",
+           "estimate_start_levels", "occupancy_start_levels",
+           "occupancy_table", "merge_start_levels", "probe_order",
+           "saturation_level"]
 
 
 @dataclass(frozen=True)
@@ -78,29 +69,15 @@ class AdaptiveConfig:
     Attributes
     ----------
     chunks:
-        Number of slices each round's ordered table list is probed in;
-        termination is re-checked after every slice. ``1`` disables the
-        early exit (bit-identical to classic); larger values exit earlier
-        at a small cost in tie-order fidelity. Default 16.
+        Number of slices each round's margin-ordered table list is probed
+        in; T2 is re-checked after every slice (T1 only at round end: a
+        mid-round T1 would return the bare ``k`` within-radius candidates
+        and cost recall). ``1`` scans all ``m`` tables in one pass, the
+        classic round; larger values exit earlier at a small cost in
+        tie-order fidelity. Default 16.
     start_estimate:
         Skip the provably-empty small-radius rounds via
         :func:`estimate_start_levels` (answer-preserving).
-    ordered_probes:
-        Probe tables in descending margin order instead of table order.
-        Ordering only matters when ``chunks > 1``.
-    early_exit:
-        Re-check termination between chunks and stop probing satisfied
-        queries. When false, every round scans all ``m`` tables
-        regardless of ``chunks``.
-    t1_early_exit:
-        Also check the T1 rule *between* chunks, not just at round end.
-        Off by default: a mid-round T1 firing returns the bare ``k``
-        within-radius candidates found so far, which satisfies the
-        paper's ratio contract but measurably costs exact recall,
-        whereas the default T2-only early exit stops with the full
-        ``k + false_positive_budget`` pool (the paper's own pool size)
-        and keeps recall at classic levels. Turn on for the
-        maximum-I/O-savings end of the frontier.
     provisional_exit:
         Fire T2 on *projected* crossers: after probing a fraction ``p/m``
         of the round's tables, an object with partial count
@@ -130,9 +107,6 @@ class AdaptiveConfig:
 
     chunks: int = 16
     start_estimate: bool = True
-    ordered_probes: bool = True
-    early_exit: bool = True
-    t1_early_exit: bool = False
     provisional_exit: bool = True
     provisional_min_frac: float = 0.5
     provisional_pool_mult: float = 4.0
@@ -150,6 +124,12 @@ class AdaptiveConfig:
                 f"provisional_pool_mult must be >= 1, got "
                 f"{self.provisional_pool_mult}"
             )
+
+
+#: Classic C2LSH as a schedule: every round scans all ``m`` tables in one
+#: pass from radius 1 — the paper's algorithm, and bit-identical to the
+#: sequential path. ``probe="classic"`` runs this preset.
+CLASSIC = AdaptiveConfig(chunks=1, start_estimate=False)
 
 
 def as_probe_config(probe):
@@ -436,415 +416,3 @@ def _intervals_at(counter, qids, radius):
     hi = row_searchsorted(counter.sorted_ids, anchors + radius,
                           side="left")
     return lo, hi
-
-
-def adaptive_batch_query(index, queries, query_bucket_ids, uids, k,
-                         n_jobs=None, started=None, budget=None,
-                         config=None):
-    """Answer ``Q`` queries with query-adaptive probing.
-
-    The adaptive analogue of :func:`repro.core.batchengine.batch_query`:
-    per-query schedules start at the estimated level, queries are grouped
-    by their current radius so every round still runs the vectorized
-    counting kernels, and within a round the ordered tables are expanded
-    chunk by chunk with T2/T1 re-checked in between. Termination rules,
-    budget semantics and the graceful fallback are the classic ones;
-    ``QueryStats.probes_issued`` / ``probes_skipped`` account for every
-    per-table probe executed or avoided. ``uids`` are the raw projections
-    over the bucket width (``floor(uids) == query_bucket_ids``).
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    config = config or AdaptiveConfig()
-    t0 = started if started is not None else time.perf_counter()
-    params = index.params
-    n = index._data.shape[0]
-    m = params.m
-    n_queries = queries.shape[0]
-    if n_queries == 0:
-        return []
-    target = min(n, k + params.false_positive_budget)  # T2 threshold
-    pm = index._pm
-    c = params.c
-
-    counter = BatchQueryCounter(index._counter, query_bucket_ids)
-    state = _QueryState(index, queries, query_bucket_ids, uids, counter,
-                        k, target, config, budget, t0)
-
-    levels = np.zeros(n_queries, dtype=np.int64)
-    if config.start_estimate:
-        # With T1 disabled (A4 ablation) only T2 can fire, which needs
-        # `target` candidates rather than k — a laxer, still-exact bound.
-        k_eff = k if index._use_t1 else target
-        with trace.span("estimate_start", queries=int(n_queries)):
-            levels = estimate_start_levels(index._counter,
-                                           query_bucket_ids, params.l, c,
-                                           k=k_eff)
-        state.probes_skipped += m * levels
-        if state.traced:
-            _trace_skipped_starts(index._counter, query_bucket_ids,
-                                  levels, c, m)
-
-    pool = (ThreadPoolExecutor(max_workers=int(n_jobs))
-            if n_jobs is not None and int(n_jobs) > 1 else None)
-    try:
-        with trace.span("batch_block", queries=int(n_queries), k=int(k),
-                        probe="adaptive", kernels=kernels.backend_name()):
-            active = np.arange(n_queries)
-            while active.size:
-                level = int(levels[active].min())
-                group = active[levels[active] == level]
-                radius = int(c) ** level
-                done_g = _run_round(state, group, radius, level, pool)
-                done_g = state.check_budgets(group, done_g, radius)
-                finished = group[done_g]
-                if finished.size:
-                    _fallback(index, queries, counter, state.is_candidate,
-                              state.cand_ids, state.cand_dists,
-                              state.n_cand, state.reason, state.io_reads,
-                              finished, k, params, pool)
-                    state.elapsed[finished] = time.perf_counter() - t0
-                levels[group[~done_g]] += 1
-                if finished.size:
-                    keep = np.ones(n_queries, dtype=bool)
-                    keep[finished] = False
-                    active = active[keep[active]]
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-    return state.results(pm is not None)
-
-
-class _QueryState:
-    """Per-batch bookkeeping shared by the adaptive round driver."""
-
-    def __init__(self, index, queries, qids, uids, counter, k, target,
-                 config, budget, t0):
-        n = index._data.shape[0]
-        n_queries = queries.shape[0]
-        self.index = index
-        self.queries = queries
-        self.qids = qids
-        self.uids = uids
-        self.counter = counter
-        self.k = k
-        self.target = target
-        self.config = config
-        self.t0 = t0
-        self.is_candidate = np.zeros((n_queries, n), dtype=bool)
-        self.cand_ids = [[] for _ in range(n_queries)]
-        self.cand_dists = [[] for _ in range(n_queries)]
-        self.n_cand = np.zeros(n_queries, dtype=np.int64)
-        self.rounds = np.zeros(n_queries, dtype=np.int64)
-        self.final_radius = np.zeros(n_queries, dtype=np.int64)
-        self.scanned = np.zeros(n_queries, dtype=np.int64)
-        self.io_reads = np.zeros(n_queries, dtype=np.int64)
-        self.probes_issued = np.zeros(n_queries, dtype=np.int64)
-        self.probes_skipped = np.zeros(n_queries, dtype=np.int64)
-        self.elapsed = np.zeros(n_queries, dtype=np.float64)
-        self.reason = [""] * n_queries
-        self.budget_cap = [""] * n_queries
-        self.budgets = as_budget_list(budget, n_queries)
-        self.tallies = ([WithinRadiusTally() for _ in range(n_queries)]
-                        if index._use_t1 else None)
-        self.traced = trace.active()
-        self.best = (np.full(n_queries, np.inf) if self.traced else None)
-
-    def check_budgets(self, group, done_g, radius):
-        """Round-boundary budget checks for not-naturally-done queries."""
-        if self.budgets is None:
-            return done_g
-        pm = self.index._pm
-        now = time.perf_counter()
-        for i in np.flatnonzero(~done_g):
-            q = int(group[i])
-            b = self.budgets[q]
-            if b is None:
-                continue
-            cap = _tripped_cap_impl(b, int(self.n_cand[q]),
-                                    int(self.io_reads[q]),
-                                    pm is not None, self.t0, now)
-            if not cap:
-                continue
-            done_g[i] = True
-            self.reason[q] = "budget"
-            self.budget_cap[q] = cap
-            flight.note(
-                "budget_exhausted", engine="adaptive", query=q, cap=cap,
-                radius=int(radius), candidates=int(self.n_cand[q]),
-                io_pages=int(self.io_reads[q]),
-            )
-        return done_g
-
-    def results(self, accounting):
-        n_queries = len(self.reason)
-        tripped = [q for q in range(n_queries) if self.budget_cap[q]]
-        if tripped:
-            flight.dump("budget_exhausted", extra={
-                "engine": "adaptive",
-                "queries": tripped,
-                "caps": sorted({self.budget_cap[q] for q in tripped}),
-            })
-        out = []
-        for q in range(n_queries):
-            stats = QueryStats(
-                rounds=int(self.rounds[q]),
-                final_radius=int(self.final_radius[q]),
-                candidates=int(self.n_cand[q]),
-                scanned_entries=int(self.scanned[q]),
-                terminated_by=self.reason[q],
-                elapsed_s=float(self.elapsed[q]),
-                degraded=bool(self.budget_cap[q]),
-                budget_exhausted=self.budget_cap[q],
-                probes_issued=int(self.probes_issued[q]),
-                probes_skipped=int(self.probes_skipped[q]),
-            )
-            if accounting:
-                stats.io_reads = int(self.io_reads[q])
-            if self.traced:
-                trace.event(
-                    "query_stats", query=q, rounds=stats.rounds,
-                    final_radius=stats.final_radius,
-                    candidates=stats.candidates,
-                    scanned_entries=stats.scanned_entries,
-                    io_reads=stats.io_reads, io_writes=stats.io_writes,
-                    terminated_by=stats.terminated_by,
-                    elapsed_s=stats.elapsed_s, degraded=stats.degraded,
-                    probes_issued=stats.probes_issued,
-                    probes_skipped=stats.probes_skipped,
-                )
-            ids = (np.concatenate(self.cand_ids[q]) if self.cand_ids[q]
-                   else np.empty(0, dtype=np.int64))
-            dists = (np.concatenate(self.cand_dists[q])
-                     if self.cand_dists[q] else np.empty(0))
-            out.append(QueryResult.from_candidates(ids, dists, self.k,
-                                                   stats))
-        return out
-
-
-def _run_round(state, group, radius, level, pool):
-    """One radius round for one same-level query group; returns done mask.
-
-    Tables are probed in margin order, ``config.chunks`` at a time, with
-    T2/T1 re-checked after every chunk; queries whose rule fires stop
-    probing and skip the rest of the round. The final chunk's check is
-    exactly the classic end-of-round check, so with ``chunks=1`` the
-    round is bit-identical to :func:`batchengine.batch_query`'s.
-    """
-    index = state.index
-    counter = state.counter
-    config = state.config
-    params = index.params
-    m, c = params.m, params.c
-    G = group.size
-    state.rounds[group] += 1
-    state.final_radius[group] = radius
-    threshold = c * radius * index._scale
-
-    if config.ordered_probes and config.early_exit and config.chunks > 1:
-        order = probe_order(state.uids[group], state.qids[group], radius)
-    else:
-        order = np.broadcast_to(np.arange(m, dtype=np.int64), (G, m))
-    bounds = _chunk_bounds(m, config.chunks if config.early_exit else 1)
-
-    done_g = np.zeros(G, dtype=bool)
-    round_pos = np.arange(G)  # group positions still probing this round
-    round_new = 0
-    pages_saved = 0
-    with trace.span("round", radius=int(radius),
-                    active=int(G)) as rspan:
-        for ci in range(len(bounds) - 1):
-            if round_pos.size == 0:
-                break
-            lo_t, hi_t = int(bounds[ci]), int(bounds[ci + 1])
-            sub = group[round_pos]
-            if len(bounds) == 2:
-                # Whole round in one expand: identical segments — and
-                # identical page charges — to the classic engine's round.
-                tables = None
-            else:
-                tables = np.zeros((sub.size, m), dtype=bool)
-                np.put_along_axis(tables, order[round_pos, lo_t:hi_t],
-                                  True, axis=1)
-            with trace.span("count_round", radius=int(radius),
-                            chunk=int(ci)):
-                chunk_scanned, chunk_pages = counter.expand(
-                    radius, sub, tables=tables)
-            state.scanned[sub] += chunk_scanned
-            if chunk_pages is not None:
-                state.io_reads[sub] += chunk_pages
-            state.probes_issued[sub] += hi_t - lo_t
-
-            qs, fresh_ids = counter.crossings(params.l)
-            if qs.size:
-                qb = np.searchsorted(qs, np.arange(sub.size + 1))
-                jobs = [
-                    (int(sub[i]), fresh_ids[qb[i]:qb[i + 1]],
-                     state.queries[sub[i]])
-                    for i in range(sub.size)
-                    if qb[i + 1] > qb[i]
-                ]
-                with trace.span("verify", count=int(fresh_ids.size)):
-                    verified = _verify_many(index, jobs, state.io_reads,
-                                            pool)
-                for (q, fresh, _), dists in zip(jobs, verified):
-                    state.is_candidate[q, fresh] = True
-                    state.cand_ids[q].append(fresh)
-                    state.cand_dists[q].append(dists)
-                    state.n_cand[q] += fresh.size
-                    round_new += fresh.size
-                    if state.tallies is not None:
-                        state.tallies[q].add(dists)
-                    if state.traced and dists.size:
-                        state.best[q] = min(state.best[q],
-                                            float(dists.min()))
-
-            last_chunk = ci == len(bounds) - 2
-            # T2 then T1, the classic priority; between chunks a firing
-            # rule both ends the round for the query and terminates it.
-            # T1 is only consulted mid-round when opted into: its pool is
-            # the bare k, and cutting the round there trades recall for
-            # I/O (see AdaptiveConfig.t1_early_exit).
-            t2 = state.n_cand[sub] >= state.target
-            t1 = np.zeros(sub.size, dtype=bool)
-            if state.tallies is not None and (last_chunk
-                                              or config.t1_early_exit):
-                for i in np.flatnonzero(~t2 & (state.n_cand[sub]
-                                               >= state.k)):
-                    q = int(sub[i])
-                    t1[i] = (state.tallies[q].count_within(threshold)
-                             >= state.k)
-            fired = t2 | t1
-            if last_chunk:
-                if level + 1 >= MAX_ROUNDS:
-                    exhausted = np.ones(sub.size, dtype=bool)
-                else:
-                    exhausted = counter.exhausted_mask(sub)
-                fired = fired | exhausted
-            for i in np.flatnonzero(fired):
-                state.reason[sub[i]] = ("T2" if t2[i] else "T1" if t1[i]
-                                        else "exhausted")
-            if (config.provisional_exit and not last_chunk
-                    and hi_t >= config.provisional_min_frac * m):
-                provisional, n_new = _provisional_exits(
-                    state, sub, fired, hi_t, params, pool)
-                round_new += n_new
-                fired = fired | provisional
-            if not last_chunk and np.any(fired):
-                exiting = np.flatnonzero(fired)
-                state.probes_skipped[sub[exiting]] += m - hi_t
-                if state.traced:
-                    pages_saved += _pages_saved(
-                        counter, sub[exiting],
-                        order[round_pos[exiting], hi_t:], radius)
-            done_g[round_pos] |= fired
-            round_pos = round_pos[~fired]
-        if state.traced:
-            _annotate_round(state, rspan, group, radius, threshold,
-                            round_new, pages_saved)
-    return done_g
-
-
-def _provisional_exits(state, sub, fired, probed, params, pool):
-    """Projected-T2 exits after ``probed`` of ``m`` tables this round.
-
-    An object with partial collision count ``>= ceil(l * probed/m)`` is
-    on track to cross the threshold ``l`` by round end. When at least
-    ``target`` objects are on track, probing further tables can only
-    refine *which* ``target`` objects the pool holds, so the engine
-    verifies the best-counted ones (the classic graceful-fallback
-    selection: count descending, stable) and stops the query. Returns
-    ``(mask over sub, newly verified count)``; exits report
-    ``terminated_by == "T2-early"``.
-    """
-    m = params.m
-    l_p = max(1, int(np.ceil(params.l * probed / m)))
-    pool_size = int(state.config.provisional_pool_mult * state.target)
-    provisional = np.zeros(sub.size, dtype=bool)
-    jobs = []
-    for i in np.flatnonzero(~fired):
-        q = int(sub[i])
-        projected = int((state.counter.counts[q] >= l_p).sum())
-        if projected < state.target:
-            continue
-        remaining = np.flatnonzero(~state.is_candidate[q])
-        need = min(min(pool_size, projected) - int(state.n_cand[q]),
-                   remaining.size)
-        provisional[i] = True
-        state.reason[q] = "T2-early"
-        if need <= 0:
-            continue
-        order = np.argsort(-state.counter.counts[q, remaining],
-                           kind="stable")
-        extra = remaining[order[:need]]
-        jobs.append((q, extra, state.queries[q]))
-    if not jobs:
-        return provisional, 0
-    with trace.span("verify", provisional=True,
-                    count=int(sum(j[1].size for j in jobs))):
-        verified = _verify_many(state.index, jobs, state.io_reads, pool)
-    n_new = 0
-    for (q, extra, _), dists in zip(jobs, verified):
-        state.is_candidate[q, extra] = True
-        state.cand_ids[q].append(extra)
-        state.cand_dists[q].append(dists)
-        state.n_cand[q] += extra.size
-        n_new += extra.size
-        if state.traced and dists.size:
-            state.best[q] = min(state.best[q], float(dists.min()))
-    return provisional, n_new
-
-
-def _pages_saved(counter, exiting, remaining_tables, radius):
-    """Pages the exiting queries' unprobed tables would have cost."""
-    m = counter._index.m
-    tables = np.zeros((exiting.size, m), dtype=bool)
-    np.put_along_axis(tables, remaining_tables, True, axis=1)
-    return int(counter.peek_pages(radius, exiting, tables).sum())
-
-
-def _annotate_round(state, rspan, group, radius, threshold, round_new,
-                    pages_saved):
-    """Attach the explain-grade record to the round span (traced only).
-
-    For a single-query group these are exactly the per-round EXPLAIN
-    columns (see ``C2LSH._annotate_round``); for larger groups they are
-    group sums, which is what a batch postmortem wants anyway.
-    """
-    within = 0
-    if state.tallies is not None:
-        for q in group:
-            within += state.tallies[int(q)].count_within(threshold)
-    finite = state.best[group][np.isfinite(state.best[group])]
-    rspan.set(
-        scanned=int(state.scanned[group].sum()),
-        new_candidates=int(round_new),
-        total_candidates=int(state.n_cand[group].sum()),
-        best_distance=float(finite.min()) if finite.size else float("inf"),
-        t1_threshold=float(threshold),
-        within_t1=int(within),
-        io_reads=int(state.io_reads[group].sum()),
-        probes_issued=int(state.probes_issued[group].sum()),
-        probes_skipped=int(state.probes_skipped[group].sum()),
-        pages_saved=int(pages_saved),
-    )
-
-
-def _trace_skipped_starts(counter, qids, levels, c, m):
-    """Emit one span per skipped start level with its would-be page bill.
-
-    Only runs under an active trace: pricing the skipped scans costs the
-    very binary searches the estimator avoided, so the fast path never
-    does this. Each span renders as an EXPLAIN row showing what the
-    classic schedule would have paid.
-    """
-    for level, radius, group, pages in skipped_round_pages(
-            counter, qids, levels, c):
-        with trace.span("round", radius=int(radius), skipped=True,
-                        active=int(group.size)) as span:
-            span.set(scanned=0, new_candidates=0, total_candidates=0,
-                     best_distance=float("inf"), t1_threshold=0.0,
-                     within_t1=0, io_reads=0, probes_issued=0,
-                     probes_skipped=int(m * group.size),
-                     pages_saved=int(pages))

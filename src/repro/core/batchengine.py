@@ -1,4 +1,4 @@
-"""Lockstep batch query engine: vectorized collision counting across queries.
+"""Lockstep batch query engine: one block driver for every batch query.
 
 Answering one C2LSH query means walking the radius grid ``{1, c, c^2, ...}``
 and, at each step, binary-searching all ``m`` sorted hash tables and
@@ -15,7 +15,22 @@ simultaneously —
 * queries that terminate (T1/T2/exhausted) drop out of the active set
   while the rest keep expanding.
 
-The engine is **bit-identical** to the sequential path in
+The paper's loop — count at radius ``R``, verify the newly frequent
+objects, stop on T1 or T2, else ``R <- cR`` — is written here once.
+:class:`QueryState` owns a block's candidates and every stopping decision
+(T2, then T1, then exhaustion, then the budget caps), the fallback's
+bookkeeping and the per-query :class:`~repro.core.results.QueryStats`;
+:func:`drive_block` walks the grid; a *round source* counts and verifies
+one round. :class:`LocalRounds` is the in-process source; the sharded
+engine's source fans each round out to shard workers
+(:mod:`repro.sharding.engine`). Classic probing is the
+:data:`~repro.core.adaptive.CLASSIC` preset of the adaptive schedule —
+every round scans all ``m`` tables in one pass, no start estimate — and
+differs from an explicit ``AdaptiveConfig(chunks=1,
+start_estimate=False)`` only in its telemetry labels and in reporting no
+probe counts.
+
+Classic is **bit-identical** to the sequential path in
 :meth:`repro.core.c2lsh.C2LSH.query`: same candidate sets verified in the
 same per-query order, same termination reasons, same
 :class:`~repro.core.results.QueryStats`, and the same page I/O charged per
@@ -37,18 +52,21 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .. import kernels
-from ..kernels import row_searchsorted
 from ..obs import flight, trace
-from ..reliability.budget import as_budget_list
-from ..reliability.budget import tripped_cap as _tripped_cap_impl
+from ..reliability.budget import as_budget_list, tripped_cap
+from .adaptive import (
+    CLASSIC,
+    _chunk_bounds,
+    _intervals_at,
+    estimate_start_levels,
+    probe_order,
+    skipped_round_pages,
+)
+from .counting import MAX_ROUNDS
 from .results import QueryResult, QueryStats
 
-__all__ = ["BatchQueryCounter", "WithinRadiusTally", "batch_query",
-           "MAX_ROUNDS"]
-
-#: Hard cap on radius-expansion rounds; 2**64 exceeds any int64 id span.
-#: Shared with the sequential path in :mod:`repro.core.c2lsh`.
-MAX_ROUNDS = 64
+__all__ = ["BatchQueryCounter", "WithinRadiusTally", "QueryState",
+           "LocalRounds", "drive_block", "batch_query", "MAX_ROUNDS"]
 
 #: Rounds touching more than ``A * m * n / _DENSE_CUTOVER`` entries use the
 #: dense rank-comparison counting kernel; lighter rounds gather the newly
@@ -127,20 +145,6 @@ class BatchQueryCounter:
         self._last_active = None
         self._last_prev = None
 
-    def _intervals_for(self, radius, active):
-        index = self._index
-        m, n = index.m, index.n
-        # Same saturation rule as QueryCounter._intervals_for: once the
-        # radius dwarfs the id span, "cover everything" is the limit.
-        if radius >= 2 * (index.id_span + 1):
-            return (np.zeros((active.size, m), dtype=np.int64),
-                    np.full((active.size, m), n, dtype=np.int64))
-        anchors = (self._qids[active] // radius) * radius
-        lo = row_searchsorted(index.sorted_ids, anchors, side="left")
-        hi = row_searchsorted(index.sorted_ids, anchors + radius,
-                              side="left")
-        return lo, hi
-
     def _segments(self, radius, active, tables, lo_new, hi_new):
         """Scan segments growing ``active``'s selected cells to ``radius``.
 
@@ -209,7 +213,7 @@ class BatchQueryCounter:
         index = self._index
         m, n = index.m, index.n
         A = active.size
-        lo_new, hi_new = self._intervals_for(radius, active)
+        lo_new, hi_new = _intervals_at(index, self._qids[active], radius)
         seg_q, seg_t, seg_lo, lengths, sel = self._segments(
             radius, active, tables, lo_new, hi_new)
 
@@ -264,7 +268,8 @@ class BatchQueryCounter:
         A = active.size
         if pm is None or A == 0:
             return np.zeros(A, dtype=np.int64)
-        lo_new, hi_new = self._intervals_for(int(radius), active)
+        lo_new, hi_new = _intervals_at(index, self._qids[active],
+                                       int(radius))
         seg_q, _, _, lengths, _ = self._segments(
             int(radius), active, tables, lo_new, hi_new)
         if not lengths.size:
@@ -342,18 +347,503 @@ def _verify_many(index, jobs, io_reads, pool):
     return [f.result() for f in futures]
 
 
+class QueryState:
+    """One query block's bookkeeping and every stopping decision.
+
+    Round sources report what a round found through :meth:`charge`,
+    :meth:`skip` and :meth:`add`, and ask :meth:`stop` which queries the
+    paper's rules end; :func:`drive_block` applies the budget caps, the
+    fallback and the round telemetry. Local and sharded, classic and
+    adaptive blocks all share this one copy of the rules, so a given seed
+    and budget degrade identically on every path.
+
+    ``t1`` enables the T1 rule's tallies; ``budgets`` is ``None`` or a
+    per-query list; ``accounting`` tells whether pages are charged.
+    ``engine`` labels flight-recorder notes and dumps (``extra`` is added
+    to the dumps), and ``probing`` turns on adaptive mode's per-table
+    probe counts — classic reports zeros. A sharded source records in
+    ``failed`` the shards each finished query was answered without.
+    """
+
+    def __init__(self, n_queries, k, params, n, scale, t1, budgets,
+                 started, accounting, engine, probing, extra=None):
+        self.n_queries = n_queries
+        self.k = k
+        self.fpb = params.false_positive_budget
+        self.target = min(n, k + self.fpb)  # T2 threshold
+        self.c = params.c
+        self.scale = scale
+        self.budgets = budgets
+        self.t0 = started
+        self.accounting = accounting
+        self.engine = engine
+        self.probing = probing
+        self.extra = extra or {}
+        self.cand_ids = [[] for _ in range(n_queries)]
+        self.cand_dists = [[] for _ in range(n_queries)]
+        self.n_cand = np.zeros(n_queries, dtype=np.int64)
+        self.rounds = np.zeros(n_queries, dtype=np.int64)
+        self.final_radius = np.zeros(n_queries, dtype=np.int64)
+        self.scanned = np.zeros(n_queries, dtype=np.int64)
+        self.io_reads = np.zeros(n_queries, dtype=np.int64)
+        self.probes_issued = np.zeros(n_queries, dtype=np.int64)
+        self.probes_skipped = np.zeros(n_queries, dtype=np.int64)
+        self.elapsed = np.zeros(n_queries, dtype=np.float64)
+        self.reason = [""] * n_queries
+        self.budget_cap = [""] * n_queries
+        self.failed = [()] * n_queries
+        self.tallies = ([WithinRadiusTally() for _ in range(n_queries)]
+                        if t1 else None)
+        self.traced = trace.active()
+        self.best = np.full(n_queries, np.inf) if self.traced else None
+        self.pages_saved = 0
+
+    @property
+    def first_stop(self):
+        """Fewest candidates any stopping rule needs: ``k`` for T1, else
+        the T2 target (the start estimator's occupancy bound)."""
+        return self.k if self.tallies is not None else self.target
+
+    def charge(self, sub, scanned, pages, probes=0):
+        """Account scanned entries, pages and table probes to ``sub``."""
+        self.scanned[sub] += scanned
+        if pages is not None:
+            self.io_reads[sub] += pages
+        if self.probing:
+            self.probes_issued[sub] += probes
+
+    def skip(self, sub, probes):
+        """Account table probes ``sub`` avoided (adaptive mode only)."""
+        if self.probing:
+            self.probes_skipped[sub] += probes
+
+    def add(self, q, ids, dists, tally=True):
+        """Record verified candidates of query ``q``.
+
+        Candidates verified after the query's stopping decision (fallback,
+        provisional exits) pass ``tally=False``: T1 is no longer asked.
+        """
+        self.cand_ids[q].append(ids)
+        self.cand_dists[q].append(dists)
+        self.n_cand[q] += ids.size
+        if tally and self.tallies is not None:
+            self.tallies[q].add(dists)
+        if self.best is not None and dists.size:
+            self.best[q] = min(self.best[q], float(dists.min()))
+
+    def stop(self, sub, radius, exhausted=None, level=0, lost=False):
+        """Which queries of ``sub`` stop now: T2, then T1, then exhaustion.
+
+        At a round's end ``exhausted`` flags the queries whose tables are
+        fully covered (the grid cap :data:`MAX_ROUNDS` exhausts all of
+        them at ``level + 1``). Between the chunks of a round it is
+        ``None`` and only T2 is asked: a mid-round T1 would return the
+        bare ``k`` within-radius candidates and cost recall. ``lost``
+        (every shard worker gone) labels exhaustion ``"failover"``.
+        Records each stopped query's reason; returns the mask.
+        """
+        t2 = self.n_cand[sub] >= self.target
+        t1 = np.zeros(sub.size, dtype=bool)
+        if exhausted is None:
+            fired = t2
+        else:
+            if self.tallies is not None:
+                threshold = self.c * radius * self.scale
+                for i in np.flatnonzero(~t2 & (self.n_cand[sub] >= self.k)):
+                    t1[i] = (self.tallies[int(sub[i])]
+                             .count_within(threshold) >= self.k)
+            if level + 1 >= MAX_ROUNDS:
+                exhausted = np.ones(sub.size, dtype=bool)
+            fired = t2 | t1 | exhausted
+        for i in np.flatnonzero(fired):
+            self.reason[sub[i]] = ("T2" if t2[i] else "T1" if t1[i]
+                                   else "failover" if lost else "exhausted")
+        return fired
+
+    def check_budgets(self, group, done, radius):
+        """Budget caps for the queries of ``group`` no rule stopped.
+
+        Cap order (candidates, io_pages, deadline) and deadline anchoring
+        follow the sequential path's tracker; one clock read serves the
+        whole round. Each deadline is measured from its budget's
+        ``started_at`` anchor when set, else from the block's start.
+        """
+        if self.budgets is None:
+            return done
+        now = time.perf_counter()
+        for i in np.flatnonzero(~done):
+            q = int(group[i])
+            b = self.budgets[q]
+            if b is None:
+                continue
+            cap = tripped_cap(b, int(self.n_cand[q]), int(self.io_reads[q]),
+                              self.accounting, self.t0, now)
+            if not cap:
+                continue
+            done[i] = True
+            self.reason[q] = "budget"
+            self.budget_cap[q] = cap
+            flight.note(
+                "budget_exhausted", engine=self.engine, query=q, cap=cap,
+                radius=int(radius), candidates=int(self.n_cand[q]),
+                io_pages=int(self.io_reads[q]),
+            )
+        return done
+
+    def shortfall(self, finished):
+        """``{query: fallback candidates to verify}`` for finished queries
+        short of ``k``: the rest of ``k`` plus the false-positive budget,
+        as on the sequential path."""
+        return {int(q): self.k - int(self.n_cand[q]) + self.fpb
+                for q in finished if self.n_cand[q] < self.k}
+
+    def add_fallback(self, q, ids, dists):
+        """Record fallback-verified candidates of finished query ``q``."""
+        self.add(q, ids, dists, tally=False)
+        if self.reason[q] != "budget":
+            self.reason[q] = "fallback"
+
+    def marks(self, group):
+        """Running totals a traced round's EXPLAIN record is the change
+        of; ``None`` when untraced."""
+        if not self.traced:
+            return None
+        return [int(a[group].sum()) for a in (
+            self.scanned, self.n_cand, self.io_reads, self.probes_issued,
+            self.probes_skipped)]
+
+    def annotate(self, rspan, group, radius, marks):
+        """Attach a round's EXPLAIN record to its span (traced only).
+
+        Scanned entries, new candidates, pages and probes are the round's
+        own, summed over the group: for a one-query block, exactly the
+        sequential path's per-round columns. Total candidates, the
+        within-T1 count and the best distance are running values.
+        """
+        scanned, new, pages, issued, skipped = (
+            now - before for now, before in zip(self.marks(group), marks))
+        threshold = self.c * radius * self.scale
+        within = 0
+        if self.tallies is not None:
+            for q in group:
+                within += self.tallies[int(q)].count_within(threshold)
+        best = self.best[group]
+        best = best[np.isfinite(best)]
+        rspan.set(
+            scanned=scanned, new_candidates=new,
+            total_candidates=int(self.n_cand[group].sum()),
+            best_distance=float(best.min()) if best.size else float("inf"),
+            t1_threshold=float(threshold), within_t1=int(within),
+            io_reads=pages, probes_issued=issued, probes_skipped=skipped,
+            pages_saved=int(self.pages_saved),
+        )
+        self.pages_saved = 0
+
+    def results(self):
+        """The block's :class:`QueryResult` list, in query order."""
+        tripped = [q for q in range(self.n_queries) if self.budget_cap[q]]
+        if tripped:
+            flight.dump("budget_exhausted", extra={
+                "engine": self.engine,
+                "queries": tripped,
+                "caps": sorted({self.budget_cap[q] for q in tripped}),
+                **self.extra,
+            })
+        out = []
+        for q in range(self.n_queries):
+            stats = QueryStats(
+                rounds=int(self.rounds[q]),
+                final_radius=int(self.final_radius[q]),
+                candidates=int(self.n_cand[q]),
+                scanned_entries=int(self.scanned[q]),
+                terminated_by=self.reason[q],
+                elapsed_s=float(self.elapsed[q]),
+                degraded=bool(self.budget_cap[q]) or bool(self.failed[q]),
+                budget_exhausted=self.budget_cap[q],
+                failed_shards=self.failed[q],
+                probes_issued=int(self.probes_issued[q]),
+                probes_skipped=int(self.probes_skipped[q]),
+            )
+            if self.accounting:
+                stats.io_reads = int(self.io_reads[q])
+            if self.traced:
+                trace.event(
+                    "query_stats", query=q, rounds=stats.rounds,
+                    final_radius=stats.final_radius,
+                    candidates=stats.candidates,
+                    scanned_entries=stats.scanned_entries,
+                    io_reads=stats.io_reads, io_writes=stats.io_writes,
+                    terminated_by=stats.terminated_by,
+                    elapsed_s=stats.elapsed_s, degraded=stats.degraded,
+                    probes_issued=stats.probes_issued,
+                    probes_skipped=stats.probes_skipped,
+                )
+            ids = (np.concatenate(self.cand_ids[q]) if self.cand_ids[q]
+                   else np.empty(0, dtype=np.int64))
+            dists = (np.concatenate(self.cand_dists[q])
+                     if self.cand_dists[q] else np.empty(0))
+            out.append(QueryResult.from_candidates(ids, dists, self.k,
+                                                   stats))
+        return out
+
+
+def drive_block(state, source, levels):
+    """Walk one block through the radius grid: the paper's query loop.
+
+    Every active query sits at a grid level — its start level, then one
+    more per round. Each pass runs the lowest level's queries through one
+    round of ``source``, stops those no rule ended but a budget cap did,
+    has ``source`` verify fallback candidates for the finished ones, and
+    moves the rest up a level. ``source.run_round(state, group, radius,
+    level)`` returns the group's stop mask, ``source.finish(state,
+    finished)`` runs the fallback, and ``source.round_span`` names the
+    round's telemetry span.
+    """
+    n_queries = levels.size
+    active = np.arange(n_queries)
+    while active.size:
+        level = int(levels[active].min())
+        group = active[levels[active] == level]
+        radius = int(state.c) ** level
+        with trace.span(source.round_span, radius=radius,
+                        active=int(group.size)) as rspan:
+            marks = state.marks(group)
+            state.rounds[group] += 1
+            state.final_radius[group] = radius
+            done = source.run_round(state, group, radius, level)
+            done = state.check_budgets(group, done, radius)
+            if marks is not None:
+                state.annotate(rspan, group, radius, marks)
+            finished = group[done]
+            if finished.size:
+                source.finish(state, finished)
+                state.elapsed[finished] = time.perf_counter() - state.t0
+            rspan.set(finished=int(finished.size))
+        levels[group[~done]] += 1
+        if finished.size:
+            keep = np.ones(n_queries, dtype=bool)
+            keep[finished] = False
+            active = active[keep[active]]
+
+
+class LocalRounds:
+    """Round source over an in-process index: chunked expand, then verify.
+
+    Each round probes the tables in ``config.chunks`` margin-ordered
+    slices (:func:`~repro.core.adaptive.probe_order`), verifying every
+    slice's threshold-crossers and asking T2 — and the provisional exit —
+    in between; a query that stops skips the rest of the round and is
+    charged only for the buckets it probed. With one chunk a round is the
+    classic full expansion: identical segments, page charges and
+    verification order. ``uids`` (the raw projections over the bucket
+    width) are needed only for the margin order.
+    """
+
+    round_span = "round"
+
+    def __init__(self, index, queries, qids, uids, config, pool):
+        self.index = index
+        self.queries = queries
+        self.qids = qids
+        self.uids = uids
+        self.config = config
+        self.pool = pool
+        self.counter = BatchQueryCounter(index._counter, qids)
+        self.is_candidate = np.zeros(
+            (queries.shape[0], index._data.shape[0]), dtype=bool)
+        self.bounds = _chunk_bounds(index.params.m, config.chunks)
+
+    def start_levels(self, state):
+        """Per-query start levels: the estimator's, else all zero.
+
+        Estimated rounds below a query's start are provably outcome-free
+        (see :func:`~repro.core.adaptive.estimate_start_levels`); each
+        skips ``m`` probes.
+        """
+        n_queries = self.queries.shape[0]
+        if not self.config.start_estimate:
+            return np.zeros(n_queries, dtype=np.int64)
+        counter, params = self.index._counter, self.index.params
+        with trace.span("estimate_start", queries=n_queries):
+            levels = estimate_start_levels(counter, self.qids, params.l,
+                                           params.c, k=state.first_stop)
+        state.skip(np.arange(n_queries), params.m * levels)
+        if state.traced:
+            _trace_skipped_starts(counter, self.qids, levels, params.c,
+                                  params.m)
+        return levels
+
+    def run_round(self, state, group, radius, level):
+        """One radius round for a same-level group; returns its stop mask."""
+        m = self.index.params.m
+        bounds = self.bounds
+        last = len(bounds) - 2
+        order = (probe_order(self.uids[group], self.qids[group], radius)
+                 if last else None)
+        done = np.zeros(group.size, dtype=bool)
+        pos = np.arange(group.size)  # group positions still probing
+        for ci in range(last + 1):
+            if not pos.size:
+                break
+            lo_t, hi_t = int(bounds[ci]), int(bounds[ci + 1])
+            sub = group[pos]
+            tables = None  # whole round: the classic expansion
+            if order is not None:
+                tables = np.zeros((sub.size, m), dtype=bool)
+                np.put_along_axis(tables, order[pos, lo_t:hi_t], True,
+                                  axis=1)
+            with trace.span("count_round", radius=radius, chunk=ci):
+                scanned, pages = self.counter.expand(radius, sub,
+                                                     tables=tables)
+            state.charge(sub, scanned, pages, hi_t - lo_t)
+            self._verify_crossers(state, sub)
+            if ci == last:
+                # A single-granularity family has one round only.
+                exhausted = (self.counter.exhausted_mask(sub)
+                             if self.index._funcs.rehashable
+                             else np.ones(sub.size, dtype=bool))
+                fired = state.stop(sub, radius, exhausted, level)
+            else:
+                fired = state.stop(sub, radius)
+                if (self.config.provisional_exit
+                        and hi_t >= self.config.provisional_min_frac * m):
+                    fired = fired | self._provisional_exits(
+                        state, sub, fired, hi_t)
+                if fired.any():
+                    state.skip(sub[fired], m - hi_t)
+                    if state.traced:
+                        state.pages_saved += _pages_saved(
+                            self.counter, sub[fired],
+                            order[pos[fired], hi_t:], radius)
+            done[pos] |= fired
+            pos = pos[~fired]
+        return done
+
+    def _verify_crossers(self, state, sub):
+        """Verify the objects that crossed the collision threshold in the
+        last expand, per query in ascending id order."""
+        qs, fresh = self.counter.crossings(self.index.params.l)
+        if not qs.size:
+            return
+        bounds = np.searchsorted(qs, np.arange(sub.size + 1))
+        jobs = [(int(sub[i]), fresh[bounds[i]:bounds[i + 1]],
+                 self.queries[sub[i]])
+                for i in range(sub.size) if bounds[i + 1] > bounds[i]]
+        with trace.span("verify", count=int(fresh.size)):
+            verified = _verify_many(self.index, jobs, state.io_reads,
+                                    self.pool)
+        for (q, ids, _), dists in zip(jobs, verified):
+            self.is_candidate[q, ids] = True
+            state.add(q, ids, dists)
+
+    def _provisional_exits(self, state, sub, fired, probed):
+        """Projected-T2 exits after ``probed`` of ``m`` tables this round.
+
+        An object with partial collision count ``>= ceil(l * probed/m)`` is
+        on track to cross the threshold ``l`` by round end. When at least
+        ``target`` objects are on track, probing further tables can only
+        refine *which* ``target`` objects the pool holds, so the engine
+        verifies the best-counted ones (the fallback's selection: count
+        descending, stable) and stops the query. Returns the mask over
+        ``sub``; exits report ``terminated_by == "T2-early"``.
+        """
+        params, config = self.index.params, self.config
+        counts = self.counter.counts
+        l_p = max(1, int(np.ceil(params.l * probed / params.m)))
+        pool_size = int(config.provisional_pool_mult * state.target)
+        provisional = np.zeros(sub.size, dtype=bool)
+        jobs = []
+        for i in np.flatnonzero(~fired):
+            q = int(sub[i])
+            projected = int((counts[q] >= l_p).sum())
+            if projected < state.target:
+                continue
+            remaining = np.flatnonzero(~self.is_candidate[q])
+            need = min(min(pool_size, projected) - int(state.n_cand[q]),
+                       remaining.size)
+            provisional[i] = True
+            state.reason[q] = "T2-early"
+            if need <= 0:
+                continue
+            order = np.argsort(-counts[q, remaining], kind="stable")
+            jobs.append((q, remaining[order[:need]], self.queries[q]))
+        if jobs:
+            with trace.span("verify", provisional=True,
+                            count=int(sum(j[1].size for j in jobs))):
+                verified = _verify_many(self.index, jobs, state.io_reads,
+                                        self.pool)
+            for (q, extra, _), dists in zip(jobs, verified):
+                self.is_candidate[q, extra] = True
+                state.add(q, extra, dists, tally=False)
+        return provisional
+
+    def finish(self, state, finished):
+        """Graceful fallback for finished queries still short of ``k``.
+
+        Verifies the best-counted unverified objects, mirroring the
+        sequential path: single-granularity families and tiny databases
+        land here.
+        """
+        jobs = []
+        for q, need in state.shortfall(finished).items():
+            remaining = np.flatnonzero(~self.is_candidate[q])
+            if not remaining.size:
+                continue
+            order = np.argsort(-self.counter.counts[q, remaining],
+                               kind="stable")
+            jobs.append((q, remaining[order[:need]], self.queries[q]))
+        if not jobs:
+            return
+        with trace.span("verify", fallback=True,
+                        count=int(sum(j[1].size for j in jobs))):
+            verified = _verify_many(self.index, jobs, state.io_reads,
+                                    self.pool)
+        for (q, extra, _), dists in zip(jobs, verified):
+            state.add_fallback(q, extra, dists)
+
+
+def _pages_saved(counter, exiting, remaining_tables, radius):
+    """Pages the exiting queries' unprobed tables would have cost."""
+    m = counter._index.m
+    tables = np.zeros((exiting.size, m), dtype=bool)
+    np.put_along_axis(tables, remaining_tables, True, axis=1)
+    return int(counter.peek_pages(radius, exiting, tables).sum())
+
+
+def _trace_skipped_starts(counter, qids, levels, c, m):
+    """Emit one span per skipped start level with its would-be page bill.
+
+    Only runs under an active trace: pricing the skipped scans costs the
+    very binary searches the estimator avoided, so the fast path never
+    does this. Each span renders as an EXPLAIN row showing what the
+    classic schedule would have paid.
+    """
+    for level, radius, group, pages in skipped_round_pages(
+            counter, qids, levels, c):
+        with trace.span("round", radius=int(radius), skipped=True,
+                        active=int(group.size)) as span:
+            span.set(scanned=0, new_candidates=0, total_candidates=0,
+                     best_distance=float("inf"), t1_threshold=0.0,
+                     within_t1=0, io_reads=0, probes_issued=0,
+                     probes_skipped=int(m * group.size),
+                     pages_saved=int(pages))
+
+
 def batch_query(index, queries, query_bucket_ids, k, n_jobs=None,
-                started=None, budget=None):
+                started=None, budget=None, config=None, uids=None):
     """Answer ``Q`` queries in lockstep; returns a list of results.
 
-    Drives a :class:`BatchQueryCounter` through the radius grid, applying
-    the T1/T2/exhausted termination rules and the graceful fallback
-    per query with exactly the sequential path's semantics (see
-    ``C2LSH._query_hashed``). ``n_jobs > 1`` runs distance verification on
-    a thread pool. ``started`` (a ``time.perf_counter()`` value) lets the
-    caller include work done before entry — e.g. batched hashing — in the
-    per-query ``elapsed_s``; each query is stamped the moment it
-    terminates, not when the whole batch returns.
+    Drives one block of :class:`LocalRounds` through :func:`drive_block`,
+    with exactly the sequential path's termination rules and graceful
+    fallback (see ``C2LSH._query_hashed``). ``config`` is an
+    :class:`~repro.core.adaptive.AdaptiveConfig`, or ``None`` for
+    classic; a chunked config needs ``uids``, the raw projections over
+    the bucket width (``floor(uids) == query_bucket_ids``). ``n_jobs >
+    1`` runs distance verification on a thread pool. ``started`` (a
+    ``time.perf_counter()`` value) lets the caller include work done
+    before entry — e.g. batched hashing — in the per-query
+    ``elapsed_s``; each query is stamped the moment it terminates, not
+    when the whole batch returns.
 
     ``budget`` (a :class:`repro.reliability.QueryBudget`, or a sequence
     of per-query budgets — ``None`` entries unbudgeted) applies to each
@@ -368,203 +858,28 @@ def batch_query(index, queries, query_bucket_ids, k, n_jobs=None,
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    t0 = started if started is not None else time.perf_counter()
-    params = index.params
-    n = index._data.shape[0]
     n_queries = queries.shape[0]
     if n_queries == 0:
         return []
-    target = min(n, k + params.false_positive_budget)  # T2 threshold
-    pm = index._pm
-    rehashable = index._funcs.rehashable
-    scale = index._scale
-    c = params.c
-
-    counter = BatchQueryCounter(index._counter, query_bucket_ids)
-    is_candidate = np.zeros((n_queries, n), dtype=bool)
-    cand_ids = [[] for _ in range(n_queries)]
-    cand_dists = [[] for _ in range(n_queries)]
-    n_cand = np.zeros(n_queries, dtype=np.int64)
-    rounds = np.zeros(n_queries, dtype=np.int64)
-    final_radius = np.zeros(n_queries, dtype=np.int64)
-    scanned = np.zeros(n_queries, dtype=np.int64)
-    io_reads = np.zeros(n_queries, dtype=np.int64)
-    elapsed = np.zeros(n_queries, dtype=np.float64)
-    reason = [""] * n_queries
-    budget_cap = [""] * n_queries
-    budgets = as_budget_list(budget, n_queries)
-    tallies = ([WithinRadiusTally() for _ in range(n_queries)]
-               if index._use_t1 and rehashable else None)
-
+    state = QueryState(
+        n_queries, k, index.params, index._data.shape[0], index._scale,
+        t1=index._use_t1 and index._funcs.rehashable,
+        budgets=as_budget_list(budget, n_queries),
+        started=started if started is not None else time.perf_counter(),
+        accounting=index._pm is not None,
+        engine="batch" if config is None else "adaptive",
+        probing=config is not None,
+    )
+    labels = {} if config is None else {"probe": "adaptive"}
     pool = (ThreadPoolExecutor(max_workers=int(n_jobs))
             if n_jobs is not None and int(n_jobs) > 1 else None)
     try:
         with trace.span("batch_block", queries=int(n_queries), k=int(k),
-                        kernels=kernels.backend_name()):
-            active = np.arange(n_queries)
-            radius = 1
-            round_no = 0
-            while active.size:
-                round_no += 1
-                with trace.span("round", radius=int(radius),
-                                active=int(active.size)) as rspan:
-                    with trace.span("count_round", radius=int(radius)):
-                        round_scanned, round_pages = counter.expand(
-                            radius, active)
-                    rounds[active] += 1
-                    final_radius[active] = radius
-                    scanned[active] += round_scanned
-                    if round_pages is not None:
-                        io_reads[active] += round_pages
-
-                    qs, fresh_ids = counter.crossings(params.l)
-                    if qs.size:
-                        bounds = np.searchsorted(qs,
-                                                 np.arange(active.size + 1))
-                        jobs = [
-                            (int(active[i]),
-                             fresh_ids[bounds[i]:bounds[i + 1]],
-                             queries[active[i]])
-                            for i in range(active.size)
-                            if bounds[i + 1] > bounds[i]
-                        ]
-                        with trace.span("verify", count=int(fresh_ids.size)):
-                            verified = _verify_many(index, jobs, io_reads,
-                                                    pool)
-                        for (q, fresh, _), dists in zip(jobs, verified):
-                            is_candidate[q, fresh] = True
-                            cand_ids[q].append(fresh)
-                            cand_dists[q].append(dists)
-                            n_cand[q] += fresh.size
-                            if tallies is not None:
-                                tallies[q].add(dists)
-
-                    # Termination, in the sequential path's priority order:
-                    # T2 (budget full), then T1 (k within c*R), then
-                    # exhaustion.
-                    t2 = n_cand[active] >= target
-                    t1 = np.zeros(active.size, dtype=bool)
-                    if tallies is not None:
-                        threshold = c * radius * scale
-                        for i in np.flatnonzero(~t2 & (n_cand[active] >= k)):
-                            q = int(active[i])
-                            t1[i] = tallies[q].count_within(threshold) >= k
-                    if not rehashable or round_no >= MAX_ROUNDS:
-                        exhausted = np.ones(active.size, dtype=bool)
-                    else:
-                        exhausted = counter.exhausted_mask(active)
-                    done = t2 | t1 | exhausted
-                    for i in np.flatnonzero(done):
-                        reason[active[i]] = ("T2" if t2[i]
-                                             else "T1" if t1[i]
-                                             else "exhausted")
-                    if budgets is not None:
-                        # Checked only where no natural rule fired, in
-                        # the tracker's cap order (candidates, io_pages,
-                        # deadline) — mirroring the sequential path. One
-                        # clock read serves the whole round, exactly as
-                        # the former single-budget check did.
-                        now = time.perf_counter()
-                        for i in np.flatnonzero(~done):
-                            q = int(active[i])
-                            b = budgets[q]
-                            if b is None:
-                                continue
-                            cap = _tripped_cap_impl(
-                                b, int(n_cand[q]), int(io_reads[q]),
-                                pm is not None, t0, now)
-                            if not cap:
-                                continue
-                            done[i] = True
-                            reason[q] = "budget"
-                            budget_cap[q] = cap
-                            flight.note(
-                                "budget_exhausted", engine="batch",
-                                query=q, cap=cap,
-                                radius=int(radius),
-                                candidates=int(n_cand[q]),
-                                io_pages=int(io_reads[q]),
-                            )
-                    finished = active[done]
-                    if finished.size:
-                        _fallback(index, queries, counter, is_candidate,
-                                  cand_ids, cand_dists, n_cand, reason,
-                                  io_reads, finished, k, params, pool)
-                        elapsed[finished] = time.perf_counter() - t0
-                    rspan.set(finished=int(finished.size))
-                    active = active[~done]
-                    radius *= c
+                        kernels=kernels.backend_name(), **labels):
+            source = LocalRounds(index, queries, query_bucket_ids, uids,
+                                 config or CLASSIC, pool)
+            drive_block(state, source, source.start_levels(state))
     finally:
         if pool is not None:
             pool.shutdown()
-
-    tripped = [q for q in range(n_queries) if budget_cap[q]]
-    if tripped:
-        flight.dump("budget_exhausted", extra={
-            "engine": "batch",
-            "queries": tripped,
-            "caps": sorted({budget_cap[q] for q in tripped}),
-        })
-
-    results = []
-    traced = trace.active()
-    for q in range(n_queries):
-        stats = QueryStats(
-            rounds=int(rounds[q]), final_radius=int(final_radius[q]),
-            candidates=int(n_cand[q]), scanned_entries=int(scanned[q]),
-            terminated_by=reason[q], elapsed_s=float(elapsed[q]),
-            degraded=bool(budget_cap[q]), budget_exhausted=budget_cap[q],
-        )
-        if pm is not None:
-            stats.io_reads = int(io_reads[q])
-        if traced:
-            trace.event(
-                "query_stats", query=q, rounds=stats.rounds,
-                final_radius=stats.final_radius,
-                candidates=stats.candidates,
-                scanned_entries=stats.scanned_entries,
-                io_reads=stats.io_reads, io_writes=stats.io_writes,
-                terminated_by=stats.terminated_by,
-                elapsed_s=stats.elapsed_s, degraded=stats.degraded,
-            )
-        ids = (np.concatenate(cand_ids[q]) if cand_ids[q]
-               else np.empty(0, dtype=np.int64))
-        dists = (np.concatenate(cand_dists[q]) if cand_dists[q]
-                 else np.empty(0))
-        results.append(QueryResult.from_candidates(ids, dists, k, stats))
-    return results
-
-
-def _fallback(index, queries, counter, is_candidate, cand_ids, cand_dists,
-              n_cand, reason, io_reads, finished, k, params, pool):
-    """Graceful fallback for terminated queries still short of ``k``.
-
-    Verifies the best-counted unverified objects, mirroring the sequential
-    path: single-granularity families and tiny databases land here.
-    """
-    jobs = []
-    extras = {}
-    for q in finished:
-        q = int(q)
-        if n_cand[q] >= k:
-            continue
-        remaining = np.flatnonzero(~is_candidate[q])
-        if not remaining.size:
-            continue
-        order = np.argsort(-counter.counts[q, remaining], kind="stable")
-        need = min(k - int(n_cand[q]) + params.false_positive_budget,
-                   remaining.size)
-        extra = remaining[order[:need]]
-        extras[q] = extra
-        jobs.append((q, extra, queries[q]))
-    if not jobs:
-        return
-    with trace.span("verify", fallback=True,
-                    count=int(sum(j[1].size for j in jobs))):
-        verified = _verify_many(index, jobs, io_reads, pool)
-    for (q, extra, _), dists in zip(jobs, verified):
-        cand_ids[q].append(extra)
-        cand_dists[q].append(dists)
-        n_cand[q] += extra.size
-        if reason[q] != "budget":
-            reason[q] = "fallback"
+    return state.results()

@@ -38,10 +38,9 @@ from ..obs import flight, trace
 from ..reliability.budget import as_budget_list
 from ..validation import as_data_matrix, as_query_matrix, as_query_vector
 from ..storage.datafile import DataFile
-from .adaptive import (adaptive_batch_query, as_probe_config,
-                       check_adaptive_supported)
-from .batchengine import MAX_ROUNDS as _MAX_ROUNDS
+from .adaptive import as_probe_config, check_adaptive_supported
 from .batchengine import WithinRadiusTally, batch_query
+from .counting import MAX_ROUNDS as _MAX_ROUNDS
 from .counting import CollisionCounter
 from .scaling import resolve_base_radius
 from .params import C2LSHParams, design_params
@@ -475,11 +474,11 @@ class C2LSH:
         ``(block, n)`` working matrices.
 
         ``probe="adaptive"`` (or an :class:`repro.core.AdaptiveConfig`)
-        runs the blocks through the query-adaptive engine
-        (:mod:`repro.core.adaptive`) instead: estimated radius starts,
+        runs the same block driver on the query-adaptive schedule
+        (:mod:`repro.core.adaptive`): estimated radius starts,
         margin-ordered probing, chunked early exit. Requires a rehashable
-        family and incremental counting; classic mode (the default) is
-        the bit-exactness oracle.
+        family and incremental counting; classic mode (the default, the
+        schedule's ``CLASSIC`` preset) is the bit-exactness oracle.
         """
         self._require_fitted()
         config = as_probe_config(probe)
@@ -518,16 +517,11 @@ class C2LSH:
             stop = start + _BATCH_BLOCK
             block_budget = (budgets[start:stop] if budgets is not None
                             else None)
-            if config is not None:
-                results.extend(adaptive_batch_query(
-                    self, queries[start:stop], all_ids[start:stop],
-                    uids[start:stop], k, n_jobs=n_jobs, started=started,
-                    budget=block_budget, config=config))
-            else:
-                results.extend(batch_query(
-                    self, queries[start:stop], all_ids[start:stop], k,
-                    n_jobs=n_jobs, started=started,
-                    budget=block_budget))
+            results.extend(batch_query(
+                self, queries[start:stop], all_ids[start:stop], k,
+                n_jobs=n_jobs, started=started, budget=block_budget,
+                config=config,
+                uids=None if config is None else uids[start:stop]))
         return results
 
     def __repr__(self):

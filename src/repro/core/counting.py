@@ -32,7 +32,11 @@ from .. import kernels
 from ..kernels import row_searchsorted
 from ..storage.hashfile import ENTRY_BYTES
 
-__all__ = ["CollisionCounter", "QueryCounter"]
+__all__ = ["CollisionCounter", "QueryCounter", "MAX_ROUNDS"]
+
+#: Hard cap on radius-expansion rounds; 2**64 exceeds any int64 id span.
+#: Shared by the sequential, batch and sharded query loops.
+MAX_ROUNDS = 64
 
 
 class CollisionCounter:

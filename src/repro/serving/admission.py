@@ -152,38 +152,41 @@ class AdmissionController:
         """Smoothed per-query service seconds (``None`` until measured)."""
         return self._service_ewma_s
 
-    def estimated_wait_s(self, window_s=0.0):
+    def estimated_wait_s(self, window_s=0.0, inflight=False):
         """Predicted queue wait + service for a request admitted now.
 
-        Queue depth × per-query rate, plus one *full batch's* observed
-        duration (the worst case for the batch already in flight when
-        this request arrives — head-of-line latency the depth term
-        cannot see) and the coalescing window a fresh request may sit
-        through. Deliberately simple and deliberately conservative — it
+        Queue depth × per-query rate, plus the coalescing window a fresh
+        request may sit through, plus — while a batch is ``inflight`` —
+        one *full batch's* observed duration (the worst case for that
+        batch: head-of-line latency the depth term cannot see). With
+        nothing in flight there is no such wait, and charging it anyway
+        would shed every short deadline after one large batch, for good.
+        Deliberately simple and deliberately conservative — it
         exists to refuse *hopeless* deadlines, not to promise
         latencies; the benchmark validates that admitted p99 stays
         within deadline under 2x overload.
         """
         per_query = self._service_ewma_s or 0.0
-        inflight_cost = self._batch_ewma_s or 0.0
+        inflight_cost = (self._batch_ewma_s or 0.0) if inflight else 0.0
         return window_s + inflight_cost + (len(self._queue) + 1) * per_query
 
     # -- admission --
 
-    def offer(self, pending, window_s=0.0):
+    def offer(self, pending, window_s=0.0, inflight=False):
         """Admit ``pending`` or return a shed reason.
 
         Returns ``""`` on admission; else one of the protocol's shed
         reasons — ``"draining"``, ``"overloaded"`` (queue at capacity),
         ``"deadline"`` (the request's deadline cannot be met even if
-        everything ahead of it behaves as estimated).
+        everything ahead of it behaves as estimated). ``inflight`` tells
+        whether a batch is running now (see :meth:`estimated_wait_s`).
         """
         if self.draining:
             return "draining"
         if len(self._queue) >= self.capacity:
             return "overloaded"
-        if pending.deadline_s is not None \
-                and self.estimated_wait_s(window_s) > pending.deadline_s:
+        if pending.deadline_s is not None and self.estimated_wait_s(
+                window_s, inflight) > pending.deadline_s:
             return "deadline"
         self._queue.append(pending)
         return ""

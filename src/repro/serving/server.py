@@ -18,11 +18,6 @@ stays correct and responsive under load it cannot absorb:
   request's :class:`~repro.reliability.QueryBudget` is anchored at admission
   time via ``with_start``, so a query that waited 80 ms of its 100 ms deadline
   gets 20 ms of engine time, not 100.
-* **Hot-query caching** — an opt-in exact-match LRU (``cache_size``) answers
-  repeated identical queries (same vector bytes, same ``k``, same probe mode)
-  without touching the engine or the admission queue. Only non-degraded
-  results are cached, so a hit always returns the full-fidelity answer, and
-  the cache empties itself if the served index object is swapped.
 * **Graceful drain** — :meth:`drain` refuses new admissions (``draining``)
   while in-flight and queued work completes; the readiness callback flips the
   paired :class:`~repro.obs.ObsServer`'s ``/healthz`` to 503 so load balancers
@@ -44,7 +39,7 @@ import asyncio
 import contextvars
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from concurrent.futures import ThreadPoolExecutor
@@ -116,9 +111,6 @@ class ServerConfig:
     #: a probe-unaware server, so it also works with indexes predating
     #: the ``probe`` parameter.
     probe: str = "classic"
-    #: Hot-query LRU result cache capacity in entries; 0 disables the
-    #: cache entirely (no lookups, no counters).
-    cache_size: int = 0
 
 
 def _index_dim(index):
@@ -172,8 +164,6 @@ class QueryServer:
         self._inflight = 0
         self._connections = set()
         self._shed_times = deque()
-        self._cache = OrderedDict()
-        self._cache_index_id = id(index)
         self._last_overload_shed = None
         self._storm_dumped = False
         self._response_tasks = set()
@@ -395,15 +385,6 @@ class QueryServer:
                         "ready": bool(self.readiness()["ready"])})
             return
 
-        cached = self._cache_lookup(vector, k)
-        if cached is not None:
-            # A hit bypasses admission entirely: no queue slot, no
-            # coalescing wait, no engine work — the stored result is the
-            # full-fidelity answer for this exact (vector, k, probe).
-            self.metrics.counter("serving.completed").inc()
-            await send(ok_response(req_id, cached))
-            return
-
         now = time.perf_counter()
         self.tuner.on_arrival(now)
         if deadline_s is None:
@@ -412,7 +393,8 @@ class QueryServer:
             vector=vector, k=k, deadline_s=deadline_s,
             budget=self._budget_for(deadline_s, now),
             client=client_key, req_id=req_id, admitted_at=now, respond=send)
-        reason = self.admission.offer(pending, window_s=self.tuner.window())
+        reason = self.admission.offer(pending, window_s=self.tuner.window(),
+                                      inflight=self._inflight > 0)
         if reason:
             self._count_shed(reason)
             await send(shed_response(req_id, reason))
@@ -465,49 +447,6 @@ class QueryServer:
                 "window_s": window,
                 "queue_depth": self.admission.depth,
             })
-
-    # -- hot-query result cache ------------------------------------------------
-
-    def _cache_fresh(self):
-        """Empty the cache if the served index object was swapped.
-
-        Identity, not content: a hot-swapped (even retrained-identical)
-        index invalidates everything, because the cache cannot know
-        which entries the new index would answer differently.
-        """
-        if id(self.index) != self._cache_index_id:
-            self._cache.clear()
-            self._cache_index_id = id(self.index)
-            self.metrics.counter("serving.cache.invalidated").inc()
-
-    def _cache_lookup(self, vector, k):
-        """The cached result for this exact request, or ``None``."""
-        if self.config.cache_size <= 0:
-            return None
-        self._cache_fresh()
-        key = (vector.tobytes(), int(k), str(self.config.probe))
-        result = self._cache.get(key)
-        if result is None:
-            self.metrics.counter("serving.cache.miss").inc()
-            return None
-        self._cache.move_to_end(key)
-        self.metrics.counter("serving.cache.hit").inc()
-        return result
-
-    def _cache_store(self, vector, k, result):
-        """Remember a full-fidelity result, evicting least-recently-used.
-
-        Degraded results (budget cut the search short) are never cached:
-        they depend on the request's deadline, not just on the query.
-        """
-        if self.config.cache_size <= 0 or result.stats.degraded:
-            return
-        self._cache_fresh()
-        key = (vector.tobytes(), int(k), str(self.config.probe))
-        self._cache[key] = result
-        self._cache.move_to_end(key)
-        while len(self._cache) > self.config.cache_size:
-            self._cache.popitem(last=False)
 
     # -- dispatch loop ---------------------------------------------------------
 
@@ -610,7 +549,6 @@ class QueryServer:
             self.metrics.counter("serving.completed").inc()
             if result.stats.degraded:
                 self.metrics.counter("serving.degraded").inc()
-            self._cache_store(p.vector, p.k, result)
             self._respond(p, ok_response(p.req_id, result, queue_wait_s=wait))
 
     def _respond(self, pending, obj):

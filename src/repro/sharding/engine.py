@@ -11,13 +11,14 @@ rows.
 
 Queries run in **lockstep across shards**: every radius round fans out to
 all workers, and the coordinator applies the T1/T2/exhaustion/budget
-termination rules to the *union* of per-shard observations — the same
-decisions, in the same order, that the lockstep batch engine
-(:mod:`repro.core.batchengine`) applies to its global state. Merged
-candidates keep ascending-global-id order within each round (shards own
-contiguous row ranges, merged in shard order), so the final top-``k``
-selection sees the identical candidate array the unsharded index builds —
-results are **bit-identical**, ties included.
+termination rules to the *union* of per-shard observations — with the
+very block driver the unsharded batch engine runs
+(:func:`repro.core.batchengine.drive_block`), fed by a round source that
+fans out and merges (:class:`_ShardRounds`). Merged candidates keep
+ascending-global-id order within each round (shards own contiguous row
+ranges, merged in shard order), so the final top-``k`` selection sees the
+identical candidate array the unsharded index builds — results are
+**bit-identical**, ties included.
 
 Parallelism is process-based: ``n_workers`` persistent single-process
 pools, each owning a round-robin group of shards. The dataset is placed in
@@ -55,19 +56,19 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 
 from ..core.adaptive import (
+    CLASSIC,
     as_probe_config,
     check_adaptive_supported,
     merge_start_levels,
 )
-from ..core.batchengine import MAX_ROUNDS, WithinRadiusTally
+from ..core.batchengine import QueryState, drive_block
 from ..core.params import design_params
-from ..core.results import QueryResult, QueryStats
 from ..core.scaling import resolve_base_radius
 from ..hashing.pstable import PStableFamily
 from ..obs import flight, trace
 from ..obs.registry import MetricsRegistry
 from ..obs.remote import graft
-from ..reliability.budget import as_budget_list, tripped_cap
+from ..reliability.budget import as_budget_list
 from ..reliability.errors import InjectedWorkerExit, WorkerFailureError
 from ..reliability.faults import FaultPlan
 from ..storage.pages import DEFAULT_PAGE_SIZE
@@ -727,9 +728,10 @@ class ShardedC2LSH:
         estimator-certified start rounds globally and lets each shard
         probe its tables margin-ordered with local early exit, while
         every T1/T2/exhaustion/budget decision stays at the coordinator
-        (see :meth:`_drive_block_adaptive`). Sharded adaptive mode runs
+        (see :class:`_ShardRounds`). Sharded adaptive mode runs
         certified exits only — the provisional projected-crosser exit
-        needs cross-shard counts mid-round and is disabled here.
+        ranks objects by *global* partial counts mid-round, which exist
+        on no single shard, and is disabled here.
         """
         self._require_fitted()
         if k < 1:
@@ -757,469 +759,64 @@ class ShardedC2LSH:
                 stop = start + _BATCH_BLOCK
                 block_budgets = (budgets[start:stop]
                                  if budgets is not None else None)
-                if config is None:
-                    results.extend(self._drive_block(
-                        queries[start:stop], all_qids[start:stop], k,
-                        block_budgets, started))
-                else:
-                    results.extend(self._drive_block_adaptive(
-                        queries[start:stop], all_qids[start:stop],
-                        all_uids[start:stop], k, block_budgets, started,
-                        config))
+                results.extend(self._drive_block(
+                    queries[start:stop], all_qids[start:stop],
+                    None if all_uids is None else all_uids[start:stop],
+                    k, block_budgets, started, config))
             qspan.set(seconds=time.perf_counter() - started)
         self.metrics.counter("shard.queries").inc(len(results))
         self.metrics.histogram("shard.query_batch.seconds").observe(
             time.perf_counter() - started)
         return results
 
-    def _drive_block(self, queries, qids, k, budgets, started):
+    def _drive_block(self, queries, qids, uids, k, budgets, started,
+                     config):
         """Drive one query block through the lockstep shard rounds.
 
-        The control flow mirrors :func:`repro.core.batchengine.batch_query`
-        decision for decision; only the counting/verification is remote.
-        ``budgets`` is already normalized: ``None`` or a per-query list.
+        The shared block driver
+        (:func:`repro.core.batchengine.drive_block`) applies every
+        T1/T2/exhaustion/budget decision here, to the union of shard
+        observations; only counting and verification are remote
+        (:class:`_ShardRounds`). ``budgets`` is already normalized:
+        ``None`` or a per-query list. ``config`` is ``None`` for classic.
         """
         n_queries = queries.shape[0]
         if n_queries == 0:
             return []
-        params = self.params
-        n = self._data.shape[0]
-        target = min(n, k + params.false_positive_budget)  # T2 threshold
-        c = params.c
-        scale = self._scale
-        accounting = self._page_accounting
-
-        sup = self._supervisor
         # Background-respawned workers rejoin here: a block boundary is
         # the only point where a fresh worker needs no session replay.
-        sup.adopt_ready()
-
-        sid = next(self._session_ids)
-        # Everything a failover needs to replay this block's session onto
-        # a respawned worker: the batch_start arguments plus every
-        # completed round's (radius, active) pair.
-        replay = {"sid": sid, "queries": queries, "qids": qids,
-                  "rounds": [], "budget": budgets, "started": started}
-        self._call(replay, "batch_start", (sid, queries, qids))
-
-        cand_ids = [[] for _ in range(n_queries)]
-        cand_dists = [[] for _ in range(n_queries)]
-        n_cand = np.zeros(n_queries, dtype=np.int64)
-        rounds = np.zeros(n_queries, dtype=np.int64)
-        final_radius = np.zeros(n_queries, dtype=np.int64)
-        scanned = np.zeros(n_queries, dtype=np.int64)
-        io_reads = np.zeros(n_queries, dtype=np.int64)
-        elapsed = np.zeros(n_queries, dtype=np.float64)
-        reason = [""] * n_queries
-        budget_cap = [""] * n_queries
-        fo_shards = [()] * n_queries
-        tallies = ([WithinRadiusTally() for _ in range(n_queries)]
-                   if self._use_t1 else None)
-
+        self._supervisor.adopt_ready()
+        state = QueryState(
+            n_queries, k, self.params, self._data.shape[0], self._scale,
+            t1=self._use_t1, budgets=budgets, started=started,
+            accounting=self._page_accounting,
+            engine="sharded" if config is None else "sharded-adaptive",
+            probing=config is not None,
+            extra={"shards": self.n_shards, "workers": self.n_workers},
+        )
+        source = _ShardRounds(self, queries, qids, uids, config, budgets,
+                              started)
         try:
-            active = np.arange(n_queries)
-            radius = 1
-            round_no = 0
-            while active.size:
-                round_no += 1
-                with trace.span("shard.round", radius=int(radius),
-                                active=int(active.size)) as rspan:
-                    t_round = time.perf_counter()
-                    collect = trace.active()
-                    by_worker = self._call(
-                        replay, "batch_round",
-                        (sid, int(radius), active, collect))
-                    replay["rounds"].append((int(radius), active.copy()))
-                    worker_payloads = [by_worker[w]
-                                       for w in sorted(by_worker)]
-                    self.metrics.counter("shard.fanout.tasks").inc(
-                        len(worker_payloads))
-                    payloads = sorted(
-                        (p for worker in worker_payloads for p in worker),
-                        key=lambda p: p.shard_id)
-
-                    rounds[active] += 1
-                    final_radius[active] = radius
-                    exhausted = np.ones(active.size, dtype=bool)
-                    for p in payloads:
-                        if p.spans:
-                            # Worker-side subtree, stamped shard/pid/
-                            # kernels; grafts under this shard.round span.
-                            graft(p.spans)
-                        if p.metrics:
-                            self._fold_metrics(p.metrics)
-                        scanned[active] += p.scanned
-                        io_reads[active] += p.io_pages
-                        exhausted &= p.exhausted
-                        self.metrics.histogram(
-                            "shard.worker.seconds").observe(p.seconds)
-                        if p.qpos.size == 0:
-                            continue
-                        bounds = np.searchsorted(
-                            p.qpos, np.arange(active.size + 1))
-                        for i in np.flatnonzero(np.diff(bounds)):
-                            q = int(active[i])
-                            lo, hi = int(bounds[i]), int(bounds[i + 1])
-                            ids = p.ids[lo:hi]
-                            dists = p.dists[lo:hi]
-                            cand_ids[q].append(ids)
-                            cand_dists[q].append(dists)
-                            n_cand[q] += ids.size
-                            if tallies is not None:
-                                tallies[q].add(dists)
-
-                    # Global termination, in the batch engine's priority
-                    # order: T2, then T1, then exhaustion, then budget.
-                    t2 = n_cand[active] >= target
-                    t1 = np.zeros(active.size, dtype=bool)
-                    if tallies is not None:
-                        threshold = c * radius * scale
-                        for i in np.flatnonzero(~t2
-                                                & (n_cand[active] >= k)):
-                            q = int(active[i])
-                            t1[i] = tallies[q].count_within(threshold) >= k
-                    if round_no >= MAX_ROUNDS:
-                        exhausted[:] = True
-                    done = t2 | t1 | exhausted
-                    # With every worker lost (degrade mode under total
-                    # failure) nothing can ever expand again; the honest
-                    # label for the forced termination is "failover".
-                    all_lost = not worker_payloads
-                    for i in np.flatnonzero(done):
-                        reason[active[i]] = ("T2" if t2[i]
-                                             else "T1" if t1[i]
-                                             else "failover" if all_lost
-                                             else "exhausted")
-                    if budgets is not None:
-                        now = time.perf_counter()
-                        for i in np.flatnonzero(~done):
-                            q = int(active[i])
-                            b = budgets[q]
-                            if b is None:
-                                continue
-                            cap = tripped_cap(b, int(n_cand[q]),
-                                              int(io_reads[q]),
-                                              accounting, started, now)
-                            if not cap:
-                                continue
-                            done[i] = True
-                            reason[q] = "budget"
-                            budget_cap[q] = cap
-                            flight.note(
-                                "budget_exhausted", engine="sharded",
-                                query=q, cap=cap,
-                                radius=int(radius),
-                                candidates=int(n_cand[q]),
-                                io_pages=int(io_reads[q]),
-                            )
-                    finished = active[done]
-                    if finished.size:
-                        self._fallback(replay, finished, k, n_cand,
-                                       cand_ids, cand_dists, reason,
-                                       io_reads)
-                        failed = sup.failed_shards()
-                        if failed:
-                            snap = tuple(failed)
-                            for q in finished:
-                                fo_shards[int(q)] = snap
-                        elapsed[finished] = time.perf_counter() - started
-                    self.metrics.counter("shard.rounds").inc()
-                    self.metrics.histogram("shard.round.seconds").observe(
-                        time.perf_counter() - t_round)
-                    rspan.set(finished=int(finished.size))
-                    active = active[~done]
-                    radius *= c
+            drive_block(state, source, source.start_levels(state))
         finally:
             # Best-effort under non-raise policies: a worker that dies
             # here takes only its own session state with it, and that
             # state was being dropped anyway.
-            self._call(replay, "batch_end", (sid,), best_effort=True)
-
-        tripped = [q for q in range(n_queries) if budget_cap[q]]
-        if tripped:
-            flight.dump("budget_exhausted", extra={
-                "engine": "sharded",
-                "queries": tripped,
-                "caps": sorted({budget_cap[q] for q in tripped}),
-                "shards": self.n_shards,
-                "workers": self.n_workers,
-            })
-
-        lost = sum(1 for q in range(n_queries) if fo_shards[q])
+            self._call(source.replay, "batch_end", (source.sid,),
+                       best_effort=True)
+        results = state.results()
+        lost = sum(1 for failed in state.failed if failed)
         if lost:
             self.metrics.counter(
                 "shard.failover.degraded_queries").inc(lost)
-
-        results = []
-        for q in range(n_queries):
-            stats = QueryStats(
-                rounds=int(rounds[q]), final_radius=int(final_radius[q]),
-                candidates=int(n_cand[q]), scanned_entries=int(scanned[q]),
-                terminated_by=reason[q], elapsed_s=float(elapsed[q]),
-                degraded=bool(budget_cap[q]) or bool(fo_shards[q]),
-                budget_exhausted=budget_cap[q],
-                failed_shards=fo_shards[q],
-            )
-            if accounting:
-                stats.io_reads = int(io_reads[q])
-                self.metrics.counter("shard.io.pages").inc(int(io_reads[q]))
-            ids = (np.concatenate(cand_ids[q]) if cand_ids[q]
-                   else np.empty(0, dtype=np.int64))
-            dists = (np.concatenate(cand_dists[q]) if cand_dists[q]
-                     else np.empty(0))
-            results.append(QueryResult.from_candidates(ids, dists, k,
-                                                       stats))
-        return results
-
-    def _drive_block_adaptive(self, queries, qids, uids, k, budgets,
-                              started, config):
-        """Drive one query block through adaptive per-query shard rounds.
-
-        The adaptive analogue of :meth:`_drive_block`, mirroring
-        :func:`repro.core.adaptive.adaptive_batch_query`'s control flow
-        with remote counting:
-
-        * one ``batch_estimate`` fan-out gathers per-worker collide
-          levels and occupancy sums, merged exactly
-          (:func:`merge_start_levels`) into global per-query start
-          levels — skipped rounds charge nothing on any shard;
-        * queries are grouped by their current grid level so every
-          fan-out still advances one shared radius per call;
-        * each round ships the per-query T2 deficits to the workers,
-          which probe margin-ordered table chunks and early-exit queries
-          whose local candidates alone cover the global deficit — the
-          per-round probe counts come home on the payloads;
-        * all T1/T2/exhaustion/budget decisions are applied here, to the
-          union of shard observations, exactly as in the classic drive.
-
-        The provisional projected-crosser exit is intentionally absent:
-        it ranks objects by *global* partial counts mid-round, which do
-        not exist on any single shard. Sharded adaptive therefore runs
-        certified exits only (see docs/PERFORMANCE.md).
-        """
-        n_queries = queries.shape[0]
-        if n_queries == 0:
-            return []
-        params = self.params
-        n = self._data.shape[0]
-        target = min(n, k + params.false_positive_budget)  # T2 threshold
-        c = params.c
-        m = params.m
-        scale = self._scale
-        accounting = self._page_accounting
-
-        sup = self._supervisor
-        sup.adopt_ready()
-
-        sid = next(self._session_ids)
-        probe_payload = {
-            "uids": uids,
-            "chunks": int(config.chunks),
-            "ordered": bool(config.ordered_probes),
-            "early_exit": bool(config.early_exit),
-        }
-        replay = {"sid": sid, "queries": queries, "qids": qids,
-                  "rounds": [], "budget": budgets, "started": started,
-                  "probe": probe_payload}
-        self._call(replay, "batch_start",
-                   (sid, queries, qids, probe_payload))
-
-        cand_ids = [[] for _ in range(n_queries)]
-        cand_dists = [[] for _ in range(n_queries)]
-        n_cand = np.zeros(n_queries, dtype=np.int64)
-        rounds = np.zeros(n_queries, dtype=np.int64)
-        final_radius = np.zeros(n_queries, dtype=np.int64)
-        scanned = np.zeros(n_queries, dtype=np.int64)
-        io_reads = np.zeros(n_queries, dtype=np.int64)
-        probes_issued = np.zeros(n_queries, dtype=np.int64)
-        probes_skipped = np.zeros(n_queries, dtype=np.int64)
-        elapsed = np.zeros(n_queries, dtype=np.float64)
-        reason = [""] * n_queries
-        budget_cap = [""] * n_queries
-        fo_shards = [()] * n_queries
-        tallies = ([WithinRadiusTally() for _ in range(n_queries)]
-                   if self._use_t1 else None)
-
-        levels = np.zeros(n_queries, dtype=np.int64)
-        if config.start_estimate:
-            # With T1 disabled only T2 can fire, which needs `target`
-            # candidates rather than k — a laxer, still-exact bound.
-            k_eff = k if self._use_t1 else target
-            with trace.span("shard.estimate_start",
-                            queries=int(n_queries)):
-                estimates = self._call(replay, "batch_estimate", (sid,))
-                payloads = [estimates[w] for w in sorted(estimates)]
-                if payloads:
-                    levels = merge_start_levels(payloads, params.l,
-                                                params.l * k_eff)
-            # A probe is one bucket scan in one shard's table: a skipped
-            # level avoids m probes on every shard.
-            probes_skipped += m * self.n_shards * levels
-
-        try:
-            active = np.arange(n_queries)
-            while active.size:
-                level = int(levels[active].min())
-                group = active[levels[active] == level]
-                radius = int(c) ** level
-                need = {"t2": (target - n_cand[group]).astype(np.int64)}
-                with trace.span("shard.round", radius=int(radius),
-                                active=int(group.size)) as rspan:
-                    t_round = time.perf_counter()
-                    collect = trace.active()
-                    by_worker = self._call(
-                        replay, "batch_round",
-                        (sid, int(radius), group, collect, need))
-                    replay["rounds"].append((int(radius), group.copy(),
-                                             need))
-                    worker_payloads = [by_worker[w]
-                                       for w in sorted(by_worker)]
-                    self.metrics.counter("shard.fanout.tasks").inc(
-                        len(worker_payloads))
-                    payloads = sorted(
-                        (p for worker in worker_payloads for p in worker),
-                        key=lambda p: p.shard_id)
-
-                    rounds[group] += 1
-                    final_radius[group] = radius
-                    exhausted = np.ones(group.size, dtype=bool)
-                    for p in payloads:
-                        if p.spans:
-                            graft(p.spans)
-                        if p.metrics:
-                            self._fold_metrics(p.metrics)
-                        scanned[group] += p.scanned
-                        io_reads[group] += p.io_pages
-                        if p.probes_issued is not None:
-                            probes_issued[group] += p.probes_issued
-                            probes_skipped[group] += p.probes_skipped
-                        exhausted &= p.exhausted
-                        self.metrics.histogram(
-                            "shard.worker.seconds").observe(p.seconds)
-                        if p.qpos.size == 0:
-                            continue
-                        bounds = np.searchsorted(
-                            p.qpos, np.arange(group.size + 1))
-                        for i in np.flatnonzero(np.diff(bounds)):
-                            q = int(group[i])
-                            lo, hi = int(bounds[i]), int(bounds[i + 1])
-                            ids = p.ids[lo:hi]
-                            dists = p.dists[lo:hi]
-                            cand_ids[q].append(ids)
-                            cand_dists[q].append(dists)
-                            n_cand[q] += ids.size
-                            if tallies is not None:
-                                tallies[q].add(dists)
-
-                    # Global termination, classic priority order.
-                    t2 = n_cand[group] >= target
-                    t1 = np.zeros(group.size, dtype=bool)
-                    if tallies is not None:
-                        threshold = c * radius * scale
-                        for i in np.flatnonzero(~t2
-                                                & (n_cand[group] >= k)):
-                            q = int(group[i])
-                            t1[i] = (tallies[q].count_within(threshold)
-                                     >= k)
-                    if level + 1 >= MAX_ROUNDS:
-                        exhausted[:] = True
-                    done = t2 | t1 | exhausted
-                    all_lost = not worker_payloads
-                    for i in np.flatnonzero(done):
-                        reason[group[i]] = ("T2" if t2[i]
-                                            else "T1" if t1[i]
-                                            else "failover" if all_lost
-                                            else "exhausted")
-                    if budgets is not None:
-                        now = time.perf_counter()
-                        for i in np.flatnonzero(~done):
-                            q = int(group[i])
-                            b = budgets[q]
-                            if b is None:
-                                continue
-                            cap = tripped_cap(b, int(n_cand[q]),
-                                              int(io_reads[q]),
-                                              accounting, started, now)
-                            if not cap:
-                                continue
-                            done[i] = True
-                            reason[q] = "budget"
-                            budget_cap[q] = cap
-                            flight.note(
-                                "budget_exhausted",
-                                engine="sharded-adaptive",
-                                query=q, cap=cap,
-                                radius=int(radius),
-                                candidates=int(n_cand[q]),
-                                io_pages=int(io_reads[q]),
-                            )
-                    finished = group[done]
-                    if finished.size:
-                        self._fallback(replay, finished, k, n_cand,
-                                       cand_ids, cand_dists, reason,
-                                       io_reads)
-                        failed = sup.failed_shards()
-                        if failed:
-                            snap = tuple(failed)
-                            for q in finished:
-                                fo_shards[int(q)] = snap
-                        elapsed[finished] = time.perf_counter() - started
-                    self.metrics.counter("shard.rounds").inc()
-                    self.metrics.histogram("shard.round.seconds").observe(
-                        time.perf_counter() - t_round)
-                    rspan.set(
-                        finished=int(finished.size),
-                        probes_issued=int(probes_issued[group].sum()),
-                        probes_skipped=int(probes_skipped[group].sum()),
-                    )
-                    levels[group[~done]] += 1
-                    if finished.size:
-                        keep = np.ones(n_queries, dtype=bool)
-                        keep[finished] = False
-                        active = active[keep[active]]
-        finally:
-            self._call(replay, "batch_end", (sid,), best_effort=True)
-
-        tripped = [q for q in range(n_queries) if budget_cap[q]]
-        if tripped:
-            flight.dump("budget_exhausted", extra={
-                "engine": "sharded-adaptive",
-                "queries": tripped,
-                "caps": sorted({budget_cap[q] for q in tripped}),
-                "shards": self.n_shards,
-                "workers": self.n_workers,
-            })
-
-        lost = sum(1 for q in range(n_queries) if fo_shards[q])
-        if lost:
-            self.metrics.counter(
-                "shard.failover.degraded_queries").inc(lost)
-        self.metrics.counter("shard.probes.issued").inc(
-            int(probes_issued.sum()))
-        self.metrics.counter("shard.probes.skipped").inc(
-            int(probes_skipped.sum()))
-
-        results = []
-        for q in range(n_queries):
-            stats = QueryStats(
-                rounds=int(rounds[q]), final_radius=int(final_radius[q]),
-                candidates=int(n_cand[q]), scanned_entries=int(scanned[q]),
-                terminated_by=reason[q], elapsed_s=float(elapsed[q]),
-                degraded=bool(budget_cap[q]) or bool(fo_shards[q]),
-                budget_exhausted=budget_cap[q],
-                failed_shards=fo_shards[q],
-                probes_issued=int(probes_issued[q]),
-                probes_skipped=int(probes_skipped[q]),
-            )
-            if accounting:
-                stats.io_reads = int(io_reads[q])
-                self.metrics.counter("shard.io.pages").inc(int(io_reads[q]))
-            ids = (np.concatenate(cand_ids[q]) if cand_ids[q]
-                   else np.empty(0, dtype=np.int64))
-            dists = (np.concatenate(cand_dists[q]) if cand_dists[q]
-                     else np.empty(0))
-            results.append(QueryResult.from_candidates(ids, dists, k,
-                                                       stats))
+        if config is not None:
+            self.metrics.counter("shard.probes.issued").inc(
+                int(state.probes_issued.sum()))
+            self.metrics.counter("shard.probes.skipped").inc(
+                int(state.probes_skipped.sum()))
+        if self._page_accounting:
+            self.metrics.counter("shard.io.pages").inc(
+                int(state.io_reads.sum()))
         return results
 
     # -- failover ------------------------------------------------------------
@@ -1306,17 +903,13 @@ class ShardedC2LSH:
             _, failures = sup.call(
                 "batch_start", start_args,
                 workers=[worker], timeout=timeout)
-            for entry in replay["rounds"]:
+            for radius, active, need in replay["rounds"]:
                 if failures:
                     break
-                # Adaptive rounds carry their need dict; replaying it
-                # reproduces the worker's chunked schedule exactly.
-                radius, active = entry[0], entry[1]
-                round_args = (sid, radius, active, False) \
-                    if len(entry) == 2 \
-                    else (sid, radius, active, False, entry[2])
+                # Replaying each round's need reproduces the worker's
+                # chunked schedule exactly.
                 _, failures = sup.call(
-                    "batch_round", round_args,
+                    "batch_round", (sid, radius, active, False, need),
                     workers=[worker], timeout=timeout)
             span.set(ok=not failures)
             if failures:
@@ -1340,99 +933,6 @@ class ShardedC2LSH:
             "shards": self.n_shards,
             "workers": self.n_workers,
         })
-
-    def _fallback(self, replay, finished, k, n_cand, cand_ids, cand_dists,
-                  reason, io_reads):
-        """Graceful fallback for terminated queries still short of ``k``.
-
-        Reproduces the unsharded order exactly: each shard nominates its
-        best-counted unverified objects, the coordinator merges them under
-        (collision count desc, global id asc) — the total order behind
-        ``argsort(-counts, kind="stable")`` — takes the global prefix, and
-        only the selected objects are verified.
-
-        Under degraded operation the merge simply sees fewer shards: dead
-        workers nominate nothing, and a nominated id whose verification
-        answer never arrived (its worker died between nomination and
-        verify) is dropped rather than returned with an unverified
-        distance.
-        """
-        sid = replay["sid"]
-        fpb = self.params.false_positive_budget
-        requests = {int(q): int(k - n_cand[q]) + fpb
-                    for q in finished if n_cand[q] < k}
-        if not requests:
-            return
-        self.metrics.counter("shard.fallback.queries").inc(len(requests))
-        with trace.span("shard.fallback", queries=len(requests)):
-            nominations = self._call(replay, "fallback_candidates",
-                                     (sid, requests))
-            by_shard = {}
-            for worker in nominations.values():
-                by_shard.update(worker)
-
-            selected = {}
-            for q, need in requests.items():
-                gids, counts = [], []
-                for shard_id in sorted(by_shard):
-                    entry = by_shard[shard_id].get(q)
-                    if entry is not None:
-                        gids.append(entry[0])
-                        counts.append(entry[1])
-                if not gids:
-                    continue
-                gids = np.concatenate(gids)
-                counts = np.concatenate(counts)
-                order = np.lexsort((gids, -counts))[:need]
-                selected[q] = gids[order]
-
-            if not selected:
-                return
-            verify_req = {}
-            placements = {}
-            for q, gids in selected.items():
-                shard_of = np.searchsorted(self._offsets, gids,
-                                           side="right") - 1
-                placements[q] = shard_of
-                for shard_id in np.unique(shard_of):
-                    worker = self._shard_worker[int(shard_id)]
-                    verify_req.setdefault(worker, {}).setdefault(
-                        int(shard_id), {})[q] = gids[shard_of == shard_id]
-            collect = trace.active()
-            answers = self._call(
-                replay, "fallback_verify",
-                per_worker={w: (sid, req, collect)
-                            for w, req in verify_req.items()})
-            merged = {}
-            for worker in answers.values():
-                if worker.get("spans"):
-                    graft(worker["spans"])
-                if worker.get("metrics"):
-                    self._fold_metrics(worker["metrics"])
-                merged.update(worker["answers"])
-
-            for q, gids in selected.items():
-                shard_of = placements[q]
-                dists = np.empty(gids.size, dtype=np.float64)
-                have = np.ones(gids.size, dtype=bool)
-                for shard_id in np.unique(shard_of):
-                    mask = shard_of == shard_id
-                    entry = merged.get(int(shard_id), {}).get(q)
-                    if entry is None:
-                        have &= ~mask
-                        continue
-                    shard_dists, io = entry
-                    dists[mask] = shard_dists
-                    io_reads[q] += io
-                if not have.all():
-                    gids, dists = gids[have], dists[have]
-                if gids.size == 0:
-                    continue
-                cand_ids[q].append(gids)
-                cand_dists[q].append(dists)
-                n_cand[q] += gids.size
-                if reason[q] != "budget":
-                    reason[q] = "fallback"
 
     # -- persistence ---------------------------------------------------------
 
@@ -1458,3 +958,191 @@ class ShardedC2LSH:
         return (f"ShardedC2LSH(n={self.n}, dim={self.dim}, "
                 f"shards={self.n_shards}, workers={self.n_workers}, "
                 f"m={self.params.m}, l={self.params.l})")
+
+
+class _ShardRounds:
+    """Round source over shard workers: fan a round out, merge payloads.
+
+    Opens one lockstep session per block on every worker, ships each
+    round's radius and query group — plus, on adaptive blocks, each
+    query's remaining T2 deficit, against which a shard may stop probing
+    early — and merges the per-shard payloads in shard order. Shards own
+    contiguous row ranges, so every query's candidates keep ascending
+    global id order within a round: the order the unsharded engine
+    verifies them in. ``replay`` holds what a failover needs to rebuild a
+    respawned worker's session.
+    """
+
+    round_span = "shard.round"
+
+    def __init__(self, engine, queries, qids, uids, config, budgets,
+                 started):
+        self.engine = engine
+        self.config = config or CLASSIC
+        self.sid = next(engine._session_ids)
+        self.probe = (None if config is None
+                      else {"uids": uids, "chunks": int(config.chunks)})
+        # Everything a failover needs to replay this block's session onto
+        # a respawned worker: the batch_start arguments plus every
+        # completed round's (radius, group, need).
+        self.replay = {"sid": self.sid, "queries": queries, "qids": qids,
+                       "rounds": [], "budget": budgets, "started": started,
+                       "probe": self.probe}
+        args = (self.sid, queries, qids)
+        engine._call(self.replay, "batch_start",
+                     args if self.probe is None else args + (self.probe,))
+
+    def start_levels(self, state):
+        """Global per-query start levels from the workers' estimates.
+
+        One ``batch_estimate`` fan-out gathers per-worker collide levels
+        and occupancy sums, merged exactly (:func:`merge_start_levels`);
+        skipped rounds charge nothing on any shard.
+        """
+        eng = self.engine
+        levels = np.zeros(state.n_queries, dtype=np.int64)
+        if not self.config.start_estimate:
+            return levels
+        params = eng.params
+        with trace.span("shard.estimate_start",
+                        queries=int(state.n_queries)):
+            estimates = eng._call(self.replay, "batch_estimate", (self.sid,))
+            payloads = [estimates[w] for w in sorted(estimates)]
+            if payloads:
+                levels = merge_start_levels(payloads, params.l,
+                                            params.l * state.first_stop)
+        # A probe is one bucket scan in one shard's table: a skipped
+        # level avoids m probes on every shard.
+        state.skip(np.arange(state.n_queries),
+                   params.m * eng.n_shards * levels)
+        return levels
+
+    def run_round(self, state, group, radius, level):
+        """One fanned-out round for a same-level group; its stop mask."""
+        eng = self.engine
+        started = time.perf_counter()
+        need = (None if self.probe is None else
+                {"t2": (state.target - state.n_cand[group]).astype(np.int64)})
+        by_worker = eng._call(self.replay, "batch_round",
+                              (self.sid, radius, group, trace.active(), need))
+        self.replay["rounds"].append((radius, group.copy(), need))
+        worker_payloads = [by_worker[w] for w in sorted(by_worker)]
+        eng.metrics.counter("shard.fanout.tasks").inc(len(worker_payloads))
+        payloads = sorted((p for worker in worker_payloads for p in worker),
+                          key=lambda p: p.shard_id)
+        exhausted = np.ones(group.size, dtype=bool)
+        for p in payloads:
+            if p.spans:
+                # Worker-side subtree, stamped shard/pid/kernels; grafts
+                # under this shard.round span.
+                graft(p.spans)
+            if p.metrics:
+                eng._fold_metrics(p.metrics)
+            state.charge(group, p.scanned, p.io_pages, p.probes_issued)
+            state.skip(group, p.probes_skipped)
+            exhausted &= p.exhausted
+            eng.metrics.histogram("shard.worker.seconds").observe(p.seconds)
+            bounds = np.searchsorted(p.qpos, np.arange(group.size + 1))
+            for i in np.flatnonzero(np.diff(bounds)):
+                lo, hi = int(bounds[i]), int(bounds[i + 1])
+                state.add(int(group[i]), p.ids[lo:hi], p.dists[lo:hi])
+        # With every worker lost (degrade mode under total failure)
+        # nothing can ever expand again; the honest label for the forced
+        # termination is "failover".
+        done = state.stop(group, radius, exhausted, level,
+                          lost=not worker_payloads)
+        eng.metrics.counter("shard.rounds").inc()
+        eng.metrics.histogram("shard.round.seconds").observe(
+            time.perf_counter() - started)
+        return done
+
+    def finish(self, state, finished):
+        """Graceful fallback for finished queries still short of ``k``.
+
+        Reproduces the unsharded order exactly: each shard nominates its
+        best-counted unverified objects, the coordinator merges them under
+        (collision count desc, global id asc) — the total order behind
+        ``argsort(-counts, kind="stable")`` — takes the global prefix, and
+        only the selected objects are verified.
+
+        Under degraded operation the merge simply sees fewer shards: dead
+        workers nominate nothing, and a nominated id whose verification
+        answer never arrived (its worker died between nomination and
+        verify) is dropped rather than returned with an unverified
+        distance. Finished queries then record the shards lost so far.
+        """
+        eng = self.engine
+        requests = state.shortfall(finished)
+        if requests:
+            eng.metrics.counter("shard.fallback.queries").inc(len(requests))
+            with trace.span("shard.fallback", queries=len(requests)):
+                self._fallback(state, requests)
+        failed = eng._supervisor.failed_shards()
+        if failed:
+            for q in finished:
+                state.failed[int(q)] = tuple(failed)
+
+    def _fallback(self, state, requests):
+        eng = self.engine
+        nominations = eng._call(self.replay, "fallback_candidates",
+                                (self.sid, requests))
+        by_shard = {}
+        for worker in nominations.values():
+            by_shard.update(worker)
+
+        selected = {}
+        for q, need in requests.items():
+            gids, counts = [], []
+            for shard_id in sorted(by_shard):
+                entry = by_shard[shard_id].get(q)
+                if entry is not None:
+                    gids.append(entry[0])
+                    counts.append(entry[1])
+            if not gids:
+                continue
+            gids = np.concatenate(gids)
+            counts = np.concatenate(counts)
+            order = np.lexsort((gids, -counts))[:need]
+            selected[q] = gids[order]
+
+        if not selected:
+            return
+        verify_req = {}
+        placements = {}
+        for q, gids in selected.items():
+            shard_of = np.searchsorted(eng._offsets, gids, side="right") - 1
+            placements[q] = shard_of
+            for shard_id in np.unique(shard_of):
+                worker = eng._shard_worker[int(shard_id)]
+                verify_req.setdefault(worker, {}).setdefault(
+                    int(shard_id), {})[q] = gids[shard_of == shard_id]
+        collect = trace.active()
+        answers = eng._call(
+            self.replay, "fallback_verify",
+            per_worker={w: (self.sid, req, collect)
+                        for w, req in verify_req.items()})
+        merged = {}
+        for worker in answers.values():
+            if worker.get("spans"):
+                graft(worker["spans"])
+            if worker.get("metrics"):
+                eng._fold_metrics(worker["metrics"])
+            merged.update(worker["answers"])
+
+        for q, gids in selected.items():
+            shard_of = placements[q]
+            dists = np.empty(gids.size, dtype=np.float64)
+            have = np.ones(gids.size, dtype=bool)
+            for shard_id in np.unique(shard_of):
+                mask = shard_of == shard_id
+                entry = merged.get(int(shard_id), {}).get(q)
+                if entry is None:
+                    have &= ~mask
+                    continue
+                shard_dists, io = entry
+                dists[mask] = shard_dists
+                state.io_reads[q] += io
+            if not have.all():
+                gids, dists = gids[have], dists[have]
+            if gids.size:
+                state.add_fallback(q, gids, dists)

@@ -143,8 +143,8 @@ class _Session:
     """Per-(shard, batch) lockstep state, kept between rounds.
 
     ``probe`` (adaptive sessions only) is the coordinator's probe payload:
-    the ``(Q, m)`` projection coordinates plus the chunk/order knobs of
-    the :class:`repro.core.adaptive.AdaptiveConfig` driving the block.
+    the ``(Q, m)`` projection coordinates plus the chunk count of the
+    :class:`repro.core.adaptive.AdaptiveConfig` driving the block.
     """
 
     counter: BatchQueryCounter
@@ -355,17 +355,10 @@ class ShardHost:
                     need=None):
         """Advance every hosted shard one radius round for ``active``.
 
-        Returns one :class:`RoundPayload` per shard. Counting, threshold
-        crossing and verification mirror one round of
-        :func:`repro.core.batchengine.batch_query` exactly, restricted to
-        the shard's rows.
-
-        ``need`` switches the round to adaptive probing (the session must
-        have been opened with a probe payload): a dict whose ``"t2"``
-        entry gives each active query's remaining T2 deficit, letting the
-        shard stop probing a query whose local observations alone already
-        guarantee the coordinator's global rule will fire. ``None`` (the
-        default, and every classic caller) runs the exact classic round.
+        Returns one :class:`RoundPayload` per shard (see
+        :meth:`_shard_round`). ``need`` is ``None`` on classic sessions;
+        adaptive rounds send a dict whose ``"t2"`` entry gives each
+        active query's remaining T2 deficit.
 
         When ``collect`` is true (the coordinator's trace is live) each
         shard's round runs inside a local span capture; the exported
@@ -373,7 +366,6 @@ class ShardHost:
         ships back on the payload for the coordinator to graft.
         """
         self._chaos_step("batch_round")
-        adaptive = need is not None
         payloads = []
         for shard_id in sorted(self._shards):
             if collect:
@@ -385,10 +377,8 @@ class ShardHost:
                         pid=os.getpid(),
                         kernels=backend_name(),
                     ) as wspan:
-                        payload = (self._shard_round_adaptive(
+                        payload = self._shard_round(
                             session_id, shard_id, radius, active, need)
-                            if adaptive else self._shard_round(
-                                session_id, shard_id, radius, active))
                         wspan.set(
                             pages=int(payload.io_pages.sum()),
                             candidates=int(payload.ids.size),
@@ -403,64 +393,31 @@ class ShardHost:
                             )
                 payload.spans = export_events(local.events)
             else:
-                payload = (self._shard_round_adaptive(
-                    session_id, shard_id, radius, active, need)
-                    if adaptive else self._shard_round(
-                        session_id, shard_id, radius, active))
+                payload = self._shard_round(session_id, shard_id, radius,
+                                            active, need)
             self._note_round(shard_id, payload)
             payloads.append(payload)
         if payloads:
             payloads[0].metrics = self._counter_deltas()
         return payloads
 
-    def _shard_round(self, session_id, shard_id, radius, active):
-        """One shard's expand/cross/verify for one radius round."""
-        shard = self._shards[shard_id]
-        session = self._sessions[(session_id, shard_id)]
-        started = time.perf_counter()
-        scanned, pages = session.counter.expand(radius, active)
-        io_pages = (pages if pages is not None
-                    else np.zeros(active.size, dtype=np.int64))
-        qpos, fresh = session.counter.crossings(self.config.l)
-        dists = np.empty(fresh.size, dtype=np.float64)
-        if fresh.size:
-            bounds = np.searchsorted(qpos, np.arange(active.size + 1))
-            for i in range(active.size):
-                s, e = int(bounds[i]), int(bounds[i + 1])
-                if e <= s:
-                    continue
-                ids = fresh[s:e]
-                vecs, io = self._read(shard, ids)
-                io_pages[i] += io
-                dists[s:e] = shard.family.distance(
-                    vecs, session.queries[active[i]])
-                session.is_candidate[active[i], ids] = True
-        return RoundPayload(
-            shard_id=shard_id,
-            qpos=qpos,
-            ids=fresh + shard.offset,
-            dists=dists,
-            scanned=scanned,
-            io_pages=io_pages,
-            exhausted=session.counter.exhausted_mask(active),
-            seconds=time.perf_counter() - started,
-        )
+    def _shard_round(self, session_id, shard_id, radius, active, need):
+        """One shard's expand/cross/verify for one radius round.
 
-    def _shard_round_adaptive(self, session_id, shard_id, radius, active,
-                              need):
-        """One shard's margin-ordered, chunked round with local early exit.
-
-        The shard probes its tables most-promising-first (the same
-        :func:`~repro.core.adaptive.probe_order` ranking the unsharded
-        adaptive engine uses), ``chunks`` at a time, verifying each
-        chunk's threshold-crossers as it goes. A query stops probing —
-        and charges nothing for its remaining tables — once this shard's
-        new candidates alone cover the query's global T2 deficit
-        (``need["t2"]``): the coordinator adds at least these candidates,
-        so its centralized T2 decision is guaranteed to fire this round.
-        Global T1/T2/exhaustion/budget decisions all remain at the
-        coordinator; the shard only ever cuts provably-redundant local
-        work, shipping the per-query probe counts home on the payload.
+        Mirrors one round of the unsharded block driver's local source
+        (:class:`repro.core.batchengine.LocalRounds`), restricted to the
+        shard's rows. A classic session probes all ``m`` tables in one
+        pass. An adaptive session probes them most-promising-first (the
+        same :func:`~repro.core.adaptive.probe_order` ranking), ``chunks``
+        at a time, verifying each chunk's threshold-crossers as it goes;
+        a query stops probing — and charges nothing for its remaining
+        tables — once this shard's new candidates alone cover its global
+        T2 deficit (``need["t2"]``): the coordinator adds at least these
+        candidates, so its centralized T2 decision is guaranteed to fire
+        this round. Global T1/T2/exhaustion/budget decisions all remain at
+        the coordinator; the shard only ever cuts provably-redundant local
+        work, shipping the per-query probe counts home on adaptive
+        payloads.
         """
         shard = self._shards[shard_id]
         session = self._sessions[(session_id, shard_id)]
@@ -469,15 +426,10 @@ class ShardHost:
         counter = session.counter
         m = session.qids.shape[1]
         A = active.size
-        chunks = int(probe.get("chunks", 1)) \
-            if probe.get("early_exit", True) else 1
-        if probe.get("ordered", True) and chunks > 1:
-            order = probe_order(probe["uids"][active],
-                                session.qids[active], radius)
-        else:
-            order = np.broadcast_to(np.arange(m, dtype=np.int64), (A, m))
-        bounds = _chunk_bounds(m, chunks)
-        deficit = np.asarray(need["t2"], dtype=np.int64)
+        bounds = _chunk_bounds(m, 1 if probe is None else probe["chunks"])
+        last = len(bounds) - 2
+        order = (probe_order(probe["uids"][active], session.qids[active],
+                             radius) if last else None)
 
         scanned = np.zeros(A, dtype=np.int64)
         io_pages = np.zeros(A, dtype=np.int64)
@@ -486,14 +438,13 @@ class ShardHost:
         new_count = np.zeros(A, dtype=np.int64)
         parts = [[] for _ in range(A)]
         round_pos = np.arange(A)
-        for ci in range(len(bounds) - 1):
+        for ci in range(last + 1):
             if round_pos.size == 0:
                 break
             lo_t, hi_t = int(bounds[ci]), int(bounds[ci + 1])
             sub = active[round_pos]
-            if len(bounds) == 2:
-                tables = None  # whole round: identical to classic expand
-            else:
+            tables = None  # whole round: the classic expansion
+            if order is not None:
                 tables = np.zeros((sub.size, m), dtype=bool)
                 np.put_along_axis(tables, order[round_pos, lo_t:hi_t],
                                   True, axis=1)
@@ -523,8 +474,8 @@ class ShardHost:
                     session.is_candidate[sub[i], ids] = True
                     new_count[pos] += ids.size
 
-            if ci < len(bounds) - 2:
-                fired = new_count[round_pos] >= deficit[round_pos]
+            if ci < last:
+                fired = new_count[round_pos] >= need["t2"][round_pos]
                 if np.any(fired):
                     probes_skipped[round_pos[fired]] += m - hi_t
                     round_pos = round_pos[~fired]
@@ -541,6 +492,7 @@ class ShardHost:
                else np.empty(0, dtype=np.int64))
         dists = (np.concatenate(dists_parts) if dists_parts
                  else np.empty(0, dtype=np.float64))
+        adaptive = probe is not None
         return RoundPayload(
             shard_id=shard_id,
             qpos=qpos,
@@ -550,8 +502,8 @@ class ShardHost:
             io_pages=io_pages,
             exhausted=counter.exhausted_mask(active),
             seconds=time.perf_counter() - started,
-            probes_issued=probes_issued,
-            probes_skipped=probes_skipped,
+            probes_issued=probes_issued if adaptive else None,
+            probes_skipped=probes_skipped if adaptive else None,
         )
 
     def _note_round(self, shard_id, payload):

@@ -574,86 +574,6 @@ def test_sigkill_mid_serving_honors_failover_policy(tiny):
         assert snap.get("serving.errors", 0) == 0
 
 
-# -- hot-query result cache --------------------------------------------------
-
-
-def test_cache_hit_skips_engine_and_matches(index, tiny):
-    data, queries = tiny
-    q = queries[0]
-    with _serve(index, cache_size=8) as server:
-        with QueryClient("127.0.0.1", server.port) as client:
-            first = client.query(q, k=3, deadline_s=30.0)
-            second = client.query(q, k=3, deadline_s=30.0)
-    assert first["ids"] == second["ids"]
-    assert first["distances"] == second["distances"]
-    snap = server.metrics.snapshot()
-    assert snap["serving.cache.miss"] == 1
-    assert snap["serving.cache.hit"] == 1
-    # The hit never reached the engine: only one batch was dispatched,
-    # but both requests completed.
-    assert snap["serving.batches"] == 1
-    assert snap["serving.completed"] == 2
-
-
-def test_cache_disabled_by_default(index, tiny):
-    data, queries = tiny
-    with _serve(index) as server:
-        with QueryClient("127.0.0.1", server.port) as client:
-            client.query(queries[0], k=3, deadline_s=30.0)
-            client.query(queries[0], k=3, deadline_s=30.0)
-    snap = server.metrics.snapshot()
-    assert "serving.cache.hit" not in snap
-    assert "serving.cache.miss" not in snap
-    assert snap["serving.batches"] == 2
-
-
-def test_cache_keys_on_k_and_evicts_lru(index, tiny):
-    data, queries = tiny
-    q = queries[0]
-    with _serve(index, cache_size=1) as server:
-        with QueryClient("127.0.0.1", server.port) as client:
-            client.query(q, k=3, deadline_s=30.0)       # miss, cached
-            client.query(q, k=4, deadline_s=30.0)       # miss: other k
-            client.query(q, k=3, deadline_s=30.0)       # evicted: miss
-    snap = server.metrics.snapshot()
-    assert snap["serving.cache.miss"] == 3
-    assert snap.get("serving.cache.hit", 0) == 0
-
-
-def test_cache_invalidated_on_index_swap(tiny):
-    data, queries = tiny
-    q = queries[0]
-    first = C2LSH(seed=7).fit(data)
-    second = C2LSH(seed=7).fit(data)
-    with _serve(first, cache_size=8) as server:
-        with QueryClient("127.0.0.1", server.port) as client:
-            client.query(q, k=3, deadline_s=30.0)
-            client.query(q, k=3, deadline_s=30.0)       # hit
-            server.index = second                       # hot swap
-            resp = client.query(q, k=3, deadline_s=30.0)
-    assert resp["status"] == "ok"
-    snap = server.metrics.snapshot()
-    assert snap["serving.cache.hit"] == 1
-    assert snap["serving.cache.miss"] == 2              # post-swap miss
-    assert snap["serving.cache.invalidated"] == 1
-
-
-def test_degraded_results_are_never_cached(index, tiny):
-    data, queries = tiny
-    # Under this cap queries[0] degrades (see the batch-budget test
-    # above), so nothing may enter the cache — the budget, not the
-    # query, shaped that answer.
-    cap = QueryBudget(max_candidates=1)
-    with _serve(index, cache_size=8, budget=cap) as server:
-        with QueryClient("127.0.0.1", server.port) as client:
-            r1 = client.query(queries[0], k=3, deadline_s=30.0)
-            r2 = client.query(queries[0], k=3, deadline_s=30.0)
-    assert r1["stats"]["degraded"] and r2["stats"]["degraded"]
-    snap = server.metrics.snapshot()
-    assert snap["serving.cache.miss"] == 2
-    assert snap.get("serving.cache.hit", 0) == 0
-
-
 def test_server_adaptive_probe_matches_direct_query(tiny):
     data, queries = tiny
     served = C2LSH(seed=7).fit(data)
