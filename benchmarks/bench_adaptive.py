@@ -13,7 +13,7 @@ configurations along the savings/recall frontier (certified-exits only;
 the provisional-T2 default; an aggressive provisional variant), and the
 :class:`repro.baselines.MultiProbeLSH` comparison point. ``--probe``
 restricts the sweep to one mode (``classic``/``adaptive``/``both``); the
-probe mode is recorded next to the kernel tier in the JSON config.
+probe mode is recorded in the JSON config.
 
 Two correctness guards ship with the numbers: ``identical_contract``
 asserts that adaptive mode with the early exits disabled
@@ -38,7 +38,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import AdaptiveConfig, C2LSH, MultiProbeLSH, PageManager  # noqa: E402
 from repro.data import load_profile  # noqa: E402
-from repro.kernels import active_backend  # noqa: E402
 from repro.obs import provenance  # noqa: E402
 
 #: The frontier sweep: label -> AdaptiveConfig. Ordered from the
@@ -204,7 +203,6 @@ def main(argv=None):
                 } for label, cfg in CONFIGS.items()
             },
         },
-        "kernels": active_backend(),
         "profiles": profiles,
         "identical_contract": contract_ok,
         "smoke": args.smoke,

@@ -14,15 +14,6 @@ The batch path is expected to reach at least ``--min-speedup`` (default
 3.0) times the sequential queries/sec at the full size; the exit code
 reflects it so CI can gate on regressions. ``--smoke`` checks only
 equivalence — tiny workloads leave no room for the batch win.
-
-``--backend`` pins the kernel tier (:mod:`repro.kernels`) for the timed
-region: ``numpy`` or ``numba`` force that tier, ``auto`` (default) takes
-the import-time selection, and ``both`` runs the whole measurement once
-per installed tier and records them side by side under ``"tiers"`` —
-answers must be identical across tiers as well as across paths. Every
-result is stamped with the active tier (``"kernels"``), and
-``repro.kernels.warmup()`` runs before timing so numba's one-off JIT
-compilation never lands inside the measured region.
 """
 
 from __future__ import annotations
@@ -37,8 +28,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import C2LSH, kernels  # noqa: E402
-from repro.kernels import KernelBackendError  # noqa: E402
+from repro import C2LSH  # noqa: E402
 from repro.obs import Histogram, provenance  # noqa: E402
 
 
@@ -70,10 +60,8 @@ def run_once(n, dim, n_queries, k, seed, n_jobs):
     queries = rng.standard_normal((n_queries, dim))
 
     index = C2LSH(seed=seed).fit(data)
-    # Warm both paths so neither pays first-call costs (JIT compilation on
-    # the numba tier, lazy rank matrix, numpy internals) inside the timed
-    # region.
-    kernels.warmup()
+    # Warm both paths so neither pays first-call costs (lazy rank matrix,
+    # numpy internals) inside the timed region.
     index.query(queries[0], k=k)
     index.query_batch(queries[:2], k=k)
 
@@ -94,7 +82,6 @@ def run_once(n, dim, n_queries, k, seed, n_jobs):
     return {
         "config": {"n": n, "dim": dim, "queries": n_queries, "k": k,
                    "seed": seed, "n_jobs": n_jobs},
-        "kernels": kernels.active_backend(),
         "sequential": {"seconds": round(t_seq, 4),
                        "queries_per_sec": round(n_queries / t_seq, 2),
                        "latency": _latency_summary(seq)},
@@ -109,7 +96,6 @@ def run_once(n, dim, n_queries, k, seed, n_jobs):
 def _print_run(result):
     """Human-readable summary of one run_once() result."""
     lat = result["sequential"]["latency"]
-    print(f"kernels:    {result['kernels']['backend']}")
     print(f"{'sequential:':<12}{result['sequential']['seconds']:.3f}s "
           f"({result['sequential']['queries_per_sec']:.1f} q/s)  "
           f"p50={lat['p50_ms']:.2f}ms p95={lat['p95_ms']:.2f}ms "
@@ -131,10 +117,6 @@ def main(argv=None):
     parser.add_argument("--n-jobs", type=int, default=None,
                         help="thread pool size for distance verification")
     parser.add_argument("--min-speedup", type=float, default=3.0)
-    parser.add_argument("--backend", default="auto",
-                        choices=["auto", "numpy", "numba", "both"],
-                        help="kernel tier to measure (both = one run per "
-                             "installed tier, recorded under 'tiers')")
     parser.add_argument("--out", type=Path,
                         default=Path(__file__).resolve().parent.parent
                         / "BENCH_batch.json")
@@ -147,39 +129,9 @@ def main(argv=None):
 
     print(f"n={args.n} dim={args.dim} Q={args.queries} k={args.k}")
 
-    if args.backend == "both":
-        tiers = {}
-        for name in ("numpy", "numba"):
-            try:
-                kernels.select(name)
-            except KernelBackendError as exc:
-                tiers[name] = {"available": False, "reason": str(exc)}
-                print(f"[{name}] unavailable: {exc}")
-                continue
-            print(f"[{name}]")
-            entry = run_once(args.n, args.dim, args.queries, args.k,
-                             args.seed, args.n_jobs)
-            entry["available"] = True
-            tiers[name] = entry
-            _print_run(entry)
-        kernels.select(None)  # restore the environment's own choice
-        ran = [t for t in tiers.values() if t.get("available")]
-        # Headline numbers come from the fastest tier that actually ran,
-        # so the gate below keeps meaning "best configuration regressed".
-        result = dict(max(ran, key=lambda t: t["speedup"]))
-        result["tiers"] = tiers
-        result["identical_results"] = all(t["identical_results"]
-                                          for t in ran)
-        if len(ran) == 2:
-            ratio = (tiers["numba"]["batch"]["queries_per_sec"]
-                     / tiers["numpy"]["batch"]["queries_per_sec"])
-            result["numba_batch_speedup"] = round(ratio, 3)
-            print(f"numba/numpy batch throughput: {ratio:.2f}x")
-    else:
-        kernels.select(None if args.backend == "auto" else args.backend)
-        result = run_once(args.n, args.dim, args.queries, args.k,
-                          args.seed, args.n_jobs)
-        _print_run(result)
+    result = run_once(args.n, args.dim, args.queries, args.k, args.seed,
+                      args.n_jobs)
+    _print_run(result)
     result["smoke"] = args.smoke
     # Environment stamp: BENCH files are only comparable (see
     # ``python -m repro.obs diff``) across matching provenance.

@@ -36,7 +36,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import C2LSH, ShardedC2LSH  # noqa: E402
-from repro.kernels import active_backend  # noqa: E402
 from repro.obs import MetricsRegistry, provenance  # noqa: E402
 
 
@@ -189,7 +188,6 @@ def main(argv=None):
                         "CPU work still serializes on few-core hosts",
             },
         },
-        "kernels": active_backend(),
         "sweep": sweep,
         "identical_results": all(e.get("identical_results", True)
                                  for e in sweep),

@@ -32,7 +32,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import DurableUpdatableC2LSH  # noqa: E402
 from repro.core.updatable import UpdatableC2LSH  # noqa: E402
-from repro.kernels import active_backend  # noqa: E402
 from repro.obs import provenance  # noqa: E402
 
 KWARGS = dict(seed=0, c=2, min_index_size=200, rebuild_threshold=0.3)
@@ -57,8 +56,7 @@ def run_once(n_batches, batch_size, dim, seed):
     n_points = n_batches * batch_size
     probe = batches[0][0] + 0.01 * rng.standard_normal(dim)
     result = {"config": {"batches": n_batches, "batch_size": batch_size,
-                         "dim": dim, "seed": seed},
-              "kernels": active_backend()}
+                         "dim": dim, "seed": seed}}
     answers = {}
 
     plain = UpdatableC2LSH(**KWARGS)

@@ -71,8 +71,7 @@ __all__ = ["BatchQueryCounter", "WithinRadiusTally", "QueryState",
 #: Rounds touching more than ``A * m * n / _DENSE_CUTOVER`` entries use the
 #: dense rank-comparison counting kernel; lighter rounds gather the newly
 #: covered entries instead. Calibrated from the measured per-cell vs
-#: per-entry cost ratio of the two kernels (~7x). Shared across kernel
-#: tiers so both walk identical code paths.
+#: per-entry cost ratio of the two kernels (~7x).
 _DENSE_CUTOVER = 6
 
 
@@ -284,18 +283,14 @@ class BatchQueryCounter:
         By interval nesting these equal the incrementally accumulated
         counts: object ``o`` collides with query ``i`` in table ``j`` iff
         its position ``rank[j, o]`` lies in ``[lo[i, j], hi[i, j])``.
-        Runs on the active kernel tier.
         """
         return kernels.dense_counts(self._index.rank, lo, hi)
 
     def _sparse_add(self, active, seg_q, seg_t, seg_lo, lengths):
         """Gather newly covered entries and accumulate them onto the counts.
 
-        Delegated to the kernel tier's sparse accumulate: the numpy
-        fallback bincounts query-banded chunks into one reused ``A * n``
-        buffer, the numba tier prange-accumulates segments directly into a
-        preallocated ``(A, n)`` matrix. Both add the identical integer
-        deltas.
+        Delegated to :func:`repro.kernels.sparse_counts`, which bincounts
+        query-banded chunks into one preallocated ``A * n`` buffer.
         """
         delta = kernels.sparse_counts(self._index.order, seg_q, seg_t,
                                       seg_lo, lengths, active.size)
@@ -875,7 +870,7 @@ def batch_query(index, queries, query_bucket_ids, k, n_jobs=None,
             if n_jobs is not None and int(n_jobs) > 1 else None)
     try:
         with trace.span("batch_block", queries=int(n_queries), k=int(k),
-                        kernels=kernels.backend_name(), **labels):
+                        **labels):
             source = LocalRounds(index, queries, query_bucket_ids, uids,
                                  config or CLASSIC, pool)
             drive_block(state, source, source.start_levels(state))

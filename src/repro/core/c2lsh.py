@@ -33,7 +33,6 @@ import time
 import numpy as np
 
 from ..hashing.pstable import PStableFamily
-from ..kernels import backend_name as _kernels_backend
 from ..obs import flight, trace
 from ..reliability.budget import as_budget_list
 from ..validation import as_data_matrix, as_query_matrix, as_query_vector
@@ -198,8 +197,7 @@ class C2LSH:
             return self.query_batch(query[None, :], k=k, n_jobs=1,
                                     budget=budget, probe=config)[0]
         started = time.perf_counter()
-        with trace.span("query", k=int(k),
-                        kernels=_kernels_backend()) as qspan:
+        with trace.span("query", k=int(k)) as qspan:
             with trace.span("hash"):
                 qids = self._funcs.hash(self._hash_view(query))
             return self._query_hashed(query, qids, k, started=started,

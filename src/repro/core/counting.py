@@ -217,8 +217,8 @@ class QueryCounter:
 
     def _apply(self, touched):
         if touched.size:
-            # Kernel-tier bincount: an order of magnitude faster than
-            # np.add.at on the numpy tier, a compiled loop on numba.
+            # An int32 bincount: an order of magnitude faster than
+            # np.add.at.
             self.last_delta = kernels.bincount_i32(touched, self._index.n)
             self.counts += self.last_delta
         else:

@@ -103,16 +103,14 @@ class ShardSpanTrace:
     """One worker-side span as observed during a sharded query.
 
     ``round_no`` is the coordinator round the span belongs to (0 for the
-    fallback phase); ``pid`` and ``kernels`` identify the worker process
-    and its kernel tier, proving the span really was recorded on the
-    shard side and propagated back.
+    fallback phase); ``pid`` identifies the worker process, proving the
+    span really was recorded on the shard side and propagated back.
     """
 
     round_no: int
     radius: int
     shard: int
     pid: int
-    kernels: str
     scanned: int
     candidates: int
     pages: int
@@ -136,7 +134,7 @@ class ShardedQueryExplanation:
     def render(self):
         """The per-shard timeline as a table plus a verdict line."""
         table = Table(
-            ["round", "radius", "shard", "pid", "kernels", "scanned",
+            ["round", "radius", "shard", "pid", "scanned",
              "new_cand", "pages", "probes", "skipped", "ms"],
             title=f"Sharded query explanation (k={self.k}, "
                   f"{self.n_shards} shards, {self.io_reads} pages)",
@@ -144,7 +142,7 @@ class ShardedQueryExplanation:
         for s in self.spans:
             table.add(s.round_no if s.round_no else "FB",
                       s.radius if s.radius else "-",
-                      s.shard, s.pid, s.kernels, s.scanned,
+                      s.shard, s.pid, s.scanned,
                       s.candidates, s.pages, s.probes_issued,
                       s.probes_skipped, f"{s.seconds * 1e3:.3f}")
         verdict = {
@@ -169,8 +167,8 @@ def explain_sharded(engine, query, k=1, probe=None):
     the round timeline; the ``shard.worker.round`` /
     ``shard.worker.fallback`` spans — recorded *inside the worker
     process* and shipped back on the round payloads — give the per-shard
-    rows, each stamped with the worker's pid and kernel tier. The sum of
-    per-shard ``pages`` equals the query's aggregate ``io_reads``.
+    rows, each stamped with the worker's pid. The sum of per-shard
+    ``pages`` equals the query's aggregate ``io_reads``.
     ``probe="adaptive"`` traces the adaptive protocol; its rows
     additionally show per-shard probes issued vs. skipped (classic rows
     render zeros).
@@ -203,7 +201,6 @@ def explain_sharded(engine, query, k=1, probe=None):
             radius=radius,
             shard=int(attrs["shard"]),
             pid=int(attrs["pid"]),
-            kernels=str(attrs["kernels"]),
             scanned=int(attrs.get("scanned", 0)),
             candidates=int(attrs.get("candidates",
                                      attrs.get("queries", 0))),

@@ -167,8 +167,7 @@ class QALSH:
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
         started = time.perf_counter()
-        with trace.span("query", k=int(k), index="qalsh",
-                        kernels=kernels.backend_name()) as qspan:
+        with trace.span("query", k=int(k), index="qalsh") as qspan:
             return self._traced_query(query, k, started, qspan, budget)
 
     def _traced_query(self, query, k, started, qspan, budget=None):

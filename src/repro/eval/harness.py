@@ -30,7 +30,6 @@ from ..core import C2LSH, QALSH, design_params
 from ..data import exact_knn, gaussian_clusters, load_profile, split_queries
 from ..data.profiles import PROFILES, Dataset
 from ..hashing import PStableFamily
-from ..kernels import active_backend
 from ..obs import SnapshotSink, flight, provenance, trace, tracing
 from ..storage import DEFAULT_PAGE_SIZE, PageManager
 from .reporting import Table
@@ -103,10 +102,6 @@ def _save_metrics(args, stem):
         if isinstance(sink, SnapshotSink):
             path = os.path.join(args.out_dir, f"{stem}_metrics.json")
             snapshot = sink.snapshot()
-            # Which kernel tier produced these numbers (alongside the
-            # numeric kernels.numba gauge the sink itself records), so
-            # metrics from mixed environments are attributable.
-            snapshot["kernels"] = active_backend()
             # Full environment stamp (git SHA, host, cpu count, library
             # versions): two metrics files are only comparable — e.g. by
             # ``python -m repro.obs diff`` — when their provenance says

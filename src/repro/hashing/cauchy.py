@@ -130,8 +130,8 @@ class CauchyFamily(LSHFamily):
         return cauchy_collision_probability(s, self.w)
 
     def distance(self, points, query):
-        # Kernel-tier verification: the deterministic fold reduction keeps
-        # numpy and numba tiers bit-identical (see repro.kernels).
+        # A fixed fold-tree reduction: distance bits do not depend on
+        # numpy's own summation order (see repro.kernels).
         return manhattan_distances(points, query)
 
     def __repr__(self):

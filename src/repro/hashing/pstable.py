@@ -93,8 +93,8 @@ class PStableFamily(LSHFamily):
         return pstable_collision_probability(s, self.w)
 
     def distance(self, points, query):
-        # Kernel-tier verification: the deterministic fold reduction keeps
-        # numpy and numba tiers bit-identical (see repro.kernels).
+        # A fixed fold-tree reduction: distance bits do not depend on
+        # numpy's own summation order (see repro.kernels).
         return euclidean_distances(points, query)
 
     def __repr__(self):

@@ -97,8 +97,7 @@ def _summarize_flight(payload, as_json):
     events = payload.get("events") or []
     header = (f"Flight recorder postmortem — reason: "
               f"{payload.get('reason', '?')}, pid {payload.get('pid', '?')}"
-              f", git {str(prov.get('git_sha'))[:12]}, "
-              f"kernels {prov.get('kernels', '?')}")
+              f", git {str(prov.get('git_sha'))[:12]}")
     print(header)
     extra = payload.get("extra") or {}
     if extra:

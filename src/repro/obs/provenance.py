@@ -3,8 +3,8 @@
 Every artifact this repository writes for later comparison —
 ``BENCH_*.json``, the harness's ``{stem}_metrics.json``, flight-recorder
 dumps — carries the same stamp so ``python -m repro.obs diff`` can tell
-whether two files are comparable at all (same host? same kernel tier?
-same commit?) before arguing about their numbers.
+whether two files are comparable at all (same host? same library
+versions? same commit?) before arguing about their numbers.
 """
 
 from __future__ import annotations
@@ -49,12 +49,10 @@ def provenance():
     """A JSON-serializable stamp of the producing environment.
 
     Includes the git SHA, hostname, CPU count, python/numpy versions,
-    the active kernel tier, the pid, and a wall-clock timestamp. Cheap
-    enough to call per artifact; the git lookup is cached.
+    the platform, the pid, and a wall-clock timestamp. Cheap enough to
+    call per artifact; the git lookup is cached.
     """
     import numpy as np
-
-    from ..kernels import active_backend
 
     return {
         "git_sha": git_sha(),
@@ -63,7 +61,6 @@ def provenance():
         "python": platform.python_version(),
         "numpy": np.__version__,
         "platform": platform.platform(),
-        "kernels": active_backend(),
         "pid": os.getpid(),
         "unix_time": time.time(),
     }

@@ -165,7 +165,6 @@ class ObsServer:
             "hostname": str(stamp.get("hostname")),
             "python": str(stamp.get("python")),
             "numpy": str(stamp.get("numpy")),
-            "kernels": str(stamp.get("kernels")),
         }
         parts.append(render_info("build_info", labels, prefix="repro"))
         return "".join(parts)

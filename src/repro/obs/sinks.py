@@ -47,13 +47,6 @@ class SnapshotSink:
     def __init__(self, registry=None):
         self.registry = registry if registry is not None else \
             MetricsRegistry()
-        # Stamp which kernel tier produced these metrics, so traces from
-        # mixed environments (numba on some hosts, numpy on others) stay
-        # comparable. 1.0 = numba, 0.0 = pure-numpy fallback.
-        from ..kernels import backend_name
-
-        self.registry.gauge("kernels.numba").set(
-            1.0 if backend_name() == "numba" else 0.0)
 
     def on_span(self, event):
         """Fold one closed span into the per-phase aggregates."""
@@ -74,16 +67,12 @@ class SnapshotSink:
         return self.registry.snapshot()
 
     def reset(self):
-        """Zero every aggregate and re-stamp the kernel-tier gauge.
+        """Zero every aggregate.
 
         The sweep harness calls this between experiments so counters and
         histograms never bleed across ``{stem}_metrics.json`` files.
         """
-        from ..kernels import backend_name
-
         self.registry.reset()
-        self.registry.gauge("kernels.numba").set(
-            1.0 if backend_name() == "numba" else 0.0)
 
     def phase_totals(self):
         """``{span name: total seconds}`` across everything observed."""

@@ -63,6 +63,11 @@ from .protocol import (
 
 __all__ = ["QueryServer", "ServerConfig"]
 
+#: How long shutdown waits for connection handlers to see their closed
+#: sockets. A handler exits within a loop turn unless its client stopped
+#: reading and the close is still flushing a full send buffer.
+_HANDLER_EXIT_S = 1.0
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -162,7 +167,7 @@ class QueryServer:
         self._stopping = False
         self._draining = False
         self._inflight = 0
-        self._connections = set()
+        self._connections = {}  # writer -> its connection handler task
         self._shed_times = deque()
         self._last_overload_shed = None
         self._storm_dumped = False
@@ -233,8 +238,14 @@ class QueryServer:
         self._asyncio_server.close()
         await self._asyncio_server.wait_closed()
         self._asyncio_server = None
+        handlers = list(self._connections.values())
         for writer in list(self._connections):
             writer.close()
+        # A closed writer ends its handler's pending read; let every
+        # handler unwind before the caller cancels the loop's remaining
+        # tasks, or asyncio logs each handler cancelled mid-read.
+        if handlers:
+            await asyncio.wait(handlers, timeout=_HANDLER_EXIT_S)
         self._executor.shutdown(wait=True)
         self._executor = None
 
@@ -333,7 +344,7 @@ class QueryServer:
     # -- connection handling ---------------------------------------------------
 
     async def _handle_client(self, reader, writer):
-        self._connections.add(writer)
+        self._connections[writer] = asyncio.current_task()
         peer = writer.get_extra_info("peername")
         client_key = f"{peer[0]}:{peer[1]}" if peer else repr(writer)
         send_lock = asyncio.Lock()
@@ -365,7 +376,7 @@ class QueryServer:
                     break
                 await self._handle_request(obj, client_key, send)
         finally:
-            self._connections.discard(writer)
+            self._connections.pop(writer, None)
             writer.close()
 
     async def _handle_request(self, obj, client_key, send):

@@ -138,21 +138,6 @@ class _SerialRunner:
     def respawn(self, i, config):
         self._hosts[i] = ShardHost(config)
 
-    def broadcast(self, method, *args):
-        workers = list(range(len(self._hosts)))
-        results, failures = self.run(method, lambda _w: args, workers)
-        if failures:
-            raise WorkerFailureError(method, failures, results)
-        return [results[i] for i in workers]
-
-    def scatter(self, method, per_worker_args):
-        workers = list(range(len(self._hosts)))
-        results, failures = self.run(
-            method, lambda w: per_worker_args[w], workers)
-        if failures:
-            raise WorkerFailureError(method, failures, results)
-        return [results[i] for i in workers]
-
     def close(self):
         for host in self._hosts:
             if host is not None:
@@ -250,21 +235,6 @@ class _ProcessRunner:
     def respawn(self, i, config):
         self._kill(i)
         self._pools[i] = self._spawn(config)
-
-    def broadcast(self, method, *args):
-        workers = list(range(len(self._pools)))
-        results, failures = self.run(method, lambda _w: args, workers)
-        if failures:
-            raise WorkerFailureError(method, failures, results)
-        return [results[i] for i in workers]
-
-    def scatter(self, method, per_worker_args):
-        workers = list(range(len(self._pools)))
-        results, failures = self.run(
-            method, lambda w: per_worker_args[w], workers)
-        if failures:
-            raise WorkerFailureError(method, failures, results)
-        return [results[i] for i in workers]
 
     def close(self):
         for pool in self._pools:
@@ -642,11 +612,11 @@ class ShardedC2LSH:
     def healthcheck(self, repair=False):
         """Probe every worker; returns ``{worker: {"ok": bool, ...}}``.
 
-        A live worker answers its heartbeat with pid, hosted shards,
-        open sessions and kernel tier; dead or unresponsive workers
-        report ``ok=False`` with a cause (a worker that misses the
-        heartbeat deadline is killed by the probe, exactly as a missed
-        protocol deadline would). With ``repair=True`` every unhealthy
+        A live worker answers its heartbeat with pid, hosted shards and
+        open sessions; dead or unresponsive workers report ``ok=False``
+        with a cause (a worker that misses the heartbeat deadline is
+        killed by the probe, exactly as a missed protocol deadline
+        would). With ``repair=True`` every unhealthy
         worker is taken out of the fan-out and a background respawn is
         scheduled; it rejoins at the next query-block boundary.
         """
@@ -685,8 +655,8 @@ class ShardedC2LSH:
         """Trace one query end to end; returns a
         :class:`repro.core.explain.ShardedQueryExplanation` with the
         coordinator's round timeline and the grafted per-shard worker
-        spans (shard id, worker pid, kernel tier, pages, candidates —
-        plus probes issued/skipped under ``probe="adaptive"``)."""
+        spans (shard id, worker pid, pages, candidates — plus probes
+        issued/skipped under ``probe="adaptive"``)."""
         from ..core.explain import explain_sharded
 
         return explain_sharded(self, query, k=k, probe=probe)
@@ -797,6 +767,10 @@ class ShardedC2LSH:
         source = _ShardRounds(self, queries, qids, uids, config, budgets,
                               started)
         try:
+            # Opened inside the try: when batch_start fails on one worker,
+            # the sessions it already opened on the others still get
+            # their batch_end.
+            source.open()
             drive_block(state, source, source.start_levels(state))
         finally:
             # Best-effort under non-raise policies: a worker that dies
@@ -963,14 +937,14 @@ class ShardedC2LSH:
 class _ShardRounds:
     """Round source over shard workers: fan a round out, merge payloads.
 
-    Opens one lockstep session per block on every worker, ships each
-    round's radius and query group — plus, on adaptive blocks, each
-    query's remaining T2 deficit, against which a shard may stop probing
-    early — and merges the per-shard payloads in shard order. Shards own
-    contiguous row ranges, so every query's candidates keep ascending
-    global id order within a round: the order the unsharded engine
-    verifies them in. ``replay`` holds what a failover needs to rebuild a
-    respawned worker's session.
+    :meth:`open` starts one lockstep session per block on every worker.
+    Each round ships its radius and query group — plus, on adaptive
+    blocks, each query's remaining T2 deficit, against which a shard may
+    stop probing early — and merges the per-shard payloads in shard
+    order. Shards own contiguous row ranges, so every query's candidates
+    keep ascending global id order within a round: the order the
+    unsharded engine verifies them in. ``replay`` holds what a failover
+    needs to rebuild a respawned worker's session.
     """
 
     round_span = "shard.round"
@@ -988,9 +962,13 @@ class _ShardRounds:
         self.replay = {"sid": self.sid, "queries": queries, "qids": qids,
                        "rounds": [], "budget": budgets, "started": started,
                        "probe": self.probe}
-        args = (self.sid, queries, qids)
-        engine._call(self.replay, "batch_start",
-                     args if self.probe is None else args + (self.probe,))
+
+    def open(self):
+        """Start this block's session on every worker (``batch_start``)."""
+        args = (self.sid, self.replay["queries"], self.replay["qids"])
+        self.engine._call(
+            self.replay, "batch_start",
+            args if self.probe is None else args + (self.probe,))
 
     def start_levels(self, state):
         """Global per-query start levels from the workers' estimates.
@@ -1033,7 +1011,7 @@ class _ShardRounds:
         exhausted = np.ones(group.size, dtype=bool)
         for p in payloads:
             if p.spans:
-                # Worker-side subtree, stamped shard/pid/kernels; grafts
+                # Worker-side subtree, stamped shard/pid; grafts
                 # under this shard.round span.
                 graft(p.spans)
             if p.metrics:

@@ -33,8 +33,6 @@ from ..core.adaptive import (
 )
 from ..core.batchengine import BatchQueryCounter
 from ..core.counting import CollisionCounter
-from ..kernels import backend as _kernels_backend
-from ..kernels import backend_name
 from ..hashing.pstable import PStableFamily, PStableFunctions
 from ..obs import trace
 from ..obs.registry import Counter, MetricsRegistry
@@ -113,9 +111,9 @@ class RoundPayload:
     ``spans`` (present when the coordinator asked for collection) is the
     shard's span subtree for this round, exported with
     :func:`repro.obs.remote.export_events` and stamped worker-side with
-    shard id, pid, and kernel tier; the coordinator grafts it into its
-    live trace. ``metrics`` piggybacks the host's counter deltas since
-    the last report (attached to one payload per host call).
+    shard id and pid; the coordinator grafts it into its live trace.
+    ``metrics`` piggybacks the host's counter deltas since the last
+    report (attached to one payload per host call).
 
     ``probes_issued`` / ``probes_skipped`` (adaptive rounds only; ``None``
     on classic rounds) count per-table bucket probes this shard executed
@@ -198,11 +196,6 @@ class ShardHost:
     """
 
     def __init__(self, config):
-        # Kernel tiers are a per-process decision: a spawned worker must
-        # derive numpy-vs-numba from its own environment (REPRO_KERNELS
-        # travels through the inherited environ), not inherit a pickled
-        # coordinator choice. Idempotent in the serial in-process runner.
-        _kernels_backend.reselect()
         self.config = config
         self._subprocess = False  # _init_host flips this in pool workers
         self._chaos = self._chaos_injector(config)
@@ -362,8 +355,8 @@ class ShardHost:
 
         When ``collect`` is true (the coordinator's trace is live) each
         shard's round runs inside a local span capture; the exported
-        subtree — stamped with shard id, worker pid and kernel tier —
-        ships back on the payload for the coordinator to graft.
+        subtree — stamped with shard id and worker pid — ships back on the
+        payload for the coordinator to graft.
         """
         self._chaos_step("batch_round")
         payloads = []
@@ -375,7 +368,6 @@ class ShardHost:
                         shard=shard_id,
                         radius=int(radius),
                         pid=os.getpid(),
-                        kernels=backend_name(),
                     ) as wspan:
                         payload = self._shard_round(
                             session_id, shard_id, radius, active, need)
@@ -584,7 +576,6 @@ class ShardHost:
                         "shard.worker.fallback",
                         shard=shard_id,
                         pid=os.getpid(),
-                        kernels=backend_name(),
                     ) as wspan:
                         answers = self._shard_fallback_verify(
                             session_id, shard_id, per_query)
@@ -636,7 +627,6 @@ class ShardHost:
             "worker": self.config.worker_index,
             "shards": sorted(self._shards),
             "sessions": len(self._sessions),
-            "kernels": backend_name(),
         }
 
     def io_totals(self):

@@ -11,11 +11,9 @@ matrix runs all ``Q * m`` lookups against the shared ``(m, n)`` sorted rows
 together, which is the primitive the lockstep batch query engine
 (:mod:`repro.core.batchengine`) is built on.
 
-The implementation lives in the kernel tier (:mod:`repro.kernels`): the
-pure-numpy fallback runs all searches with ``O(log n)`` vectorized passes,
-the numba tier compiles the per-key bisection loops; both produce
-identical positions (the search performs only comparisons, never
-arithmetic on the values). This module remains the public entry point.
+The implementation lives in :mod:`repro.kernels`, which runs all searches
+with ``O(log n)`` vectorized passes; this module remains the public entry
+point.
 """
 
 from __future__ import annotations

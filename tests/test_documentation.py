@@ -19,12 +19,7 @@ def _iter_modules():
     for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
         if info.name.endswith("__main__"):
             continue
-        try:
-            yield importlib.import_module(info.name)
-        except ImportError:
-            # Optional-dependency tiers (repro.kernels._numba without the
-            # 'fast' extra installed) are only documented when importable.
-            continue
+        yield importlib.import_module(info.name)
 
 
 MODULES = list(_iter_modules())

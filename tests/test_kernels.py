@@ -1,131 +1,24 @@
-"""Kernel-tier tests: backend selection, tier equivalence, adversarial shapes.
+"""Kernel tests: each kernel against a brute-force oracle, adversarial shapes.
 
 The contract under test (see :mod:`repro.kernels`): every kernel's result
 is fully specified — integer kernels as exact comparisons/additions, the
-distance kernels as a fixed balanced fold tree — so the pure-numpy tier,
-the numba tier (when installed), and a brute-force oracle must agree **bit
-for bit** on ids, counts, positions and float64 distances.
+distance kernels as a fixed balanced fold tree — so the kernels and a
+brute-force oracle must agree **bit for bit** on ids, counts and
+positions, and the distances must match a naive reduction to rounding.
 
-The Hypothesis properties drive each available tier against the oracle
-over adversarial shapes: zero-row tables, single-query batches,
+The Hypothesis properties drive every kernel against the oracle over
+adversarial shapes: zero-row tables, single-query batches,
 duplicate-heavy ties, empty active sets / segment lists, and
 non-contiguous views (the shape shared_memory shard slices arrive in).
-When numba is not installed, the numba-side parametrizations skip and the
-selection tests simulate its presence with a booby-trapped stub.
 """
 
 from __future__ import annotations
 
-import sys
-
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.kernels import KernelBackendError, backend
-from repro.kernels import _numpy as numpy_tier
-
-try:
-    from repro.kernels import _numba as numba_tier
-except ImportError:
-    numba_tier = None
-
-TIERS = [pytest.param(numpy_tier, id="numpy")]
-if numba_tier is not None:
-    TIERS.append(pytest.param(numba_tier, id="numba"))
-
-needs_numba = pytest.mark.skipif(numba_tier is None,
-                                 reason="numba not installed")
-
-
-@pytest.fixture
-def restore_backend():
-    """Snapshot and restore the global tier selection around a test."""
-    saved_active, saved_info = backend._active, dict(backend._info)
-    yield
-    backend._active, backend._info = saved_active, saved_info
-
-
-def _use(tier):
-    """Point the dispatch layer at ``tier`` (restored by restore_backend)."""
-    backend._active = tier
-    backend._info = {"backend": "numpy" if tier is numpy_tier else "numba",
-                     "numba_version": None}
-
-
-# --------------------------------------------------------------------------
-# backend selection
-# --------------------------------------------------------------------------
-
-class TestBackendSelection:
-
-    def test_active_backend_shape(self):
-        info = kernels.active_backend()
-        assert set(info) == {"backend", "numba_version"}
-        assert info["backend"] in ("numpy", "numba")
-        assert kernels.backend_name() == info["backend"]
-
-    def test_select_numpy(self, restore_backend):
-        mod = kernels.select("numpy")
-        assert mod is numpy_tier
-        assert kernels.active_backend() == {"backend": "numpy",
-                                            "numba_version": None}
-
-    def test_invalid_name_rejected(self, restore_backend):
-        with pytest.raises(KernelBackendError, match="unknown kernel"):
-            kernels.select("cython")
-
-    def test_invalid_env_value_rejected(self, restore_backend, monkeypatch):
-        monkeypatch.setenv(backend.ENV_VAR, "fast")
-        with pytest.raises(KernelBackendError, match="unknown kernel"):
-            kernels.select(None)
-
-    def test_forced_numpy_bypasses_numba_entirely(self, restore_backend,
-                                                  monkeypatch):
-        """REPRO_KERNELS=numpy must never import numba, even if installed."""
-
-        class _Trap:
-            def __getattr__(self, name):
-                raise AssertionError(
-                    "numba was touched despite REPRO_KERNELS=numpy")
-
-        monkeypatch.setitem(sys.modules, "numba", _Trap())
-        monkeypatch.setenv(backend.ENV_VAR, "numpy")
-        mod = kernels.select(None)
-        assert mod is numpy_tier
-        assert kernels.active_backend()["backend"] == "numpy"
-        # The dispatch layer really runs the numpy tier end to end.
-        assert kernels.warmup()["backend"] == "numpy"
-
-    def test_forced_numba_missing_raises(self, restore_backend, monkeypatch):
-        monkeypatch.setitem(sys.modules, "numba", None)  # import -> error
-        monkeypatch.setenv(backend.ENV_VAR, "numba")
-        with pytest.raises(KernelBackendError,
-                           match="numba kernel tier .* unavailable"):
-            kernels.select(None)
-
-    def test_auto_without_numba_falls_back(self, restore_backend,
-                                           monkeypatch):
-        monkeypatch.setitem(sys.modules, "numba", None)
-        monkeypatch.delenv(backend.ENV_VAR, raising=False)
-        assert kernels.reselect() is numpy_tier
-        assert kernels.active_backend()["backend"] == "numpy"
-
-    @needs_numba
-    def test_auto_with_numba_selects_numba(self, restore_backend,
-                                           monkeypatch):
-        monkeypatch.delenv(backend.ENV_VAR, raising=False)
-        assert kernels.reselect() is numba_tier
-        info = kernels.active_backend()
-        assert info["backend"] == "numba"
-        assert info["numba_version"]
-
-    @needs_numba
-    def test_warmup_covers_numba_tier(self, restore_backend):
-        _use(numba_tier)
-        assert kernels.warmup()["backend"] == "numba"
 
 
 # --------------------------------------------------------------------------
@@ -170,43 +63,41 @@ tables = st.tuples(st.integers(1, 5), st.integers(0, 40),
 
 
 # --------------------------------------------------------------------------
-# per-tier properties vs the oracle (bit-exact)
+# properties vs the oracle (bit-exact)
 # --------------------------------------------------------------------------
 
-@pytest.mark.parametrize("tier", TIERS)
-class TestTierMatchesOracle:
+class TestKernelsMatchOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(dims=tables, side=st.sampled_from(["left", "right"]),
            seed=st.integers(0, 2**32 - 1))
-    def test_row_searchsorted(self, tier, dims, side, seed):
+    def test_row_searchsorted(self, dims, side, seed):
         m, n, q = dims
         rng = np.random.default_rng(seed)
         # Duplicate-heavy: ids drawn from a tiny alphabet force tie cases.
         rows = np.sort(rng.integers(0, max(1, n // 3 + 1), (m, n)), axis=1)
         targets = rng.integers(-2, max(2, n // 3 + 2), (q, m))
-        got = tier.row_searchsorted(rows, targets, side == "left") \
-            if n else np.zeros((q, m), np.int64)
+        got = kernels.row_searchsorted(rows, targets, side=side)
         assert got.dtype == np.int64
         assert np.array_equal(got, _oracle_searchsorted(rows, targets, side))
 
     @settings(max_examples=60, deadline=None)
     @given(dims=tables, A=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
-    def test_dense_counts(self, tier, dims, A, seed):
+    def test_dense_counts(self, dims, A, seed):
         m, n, _ = dims
         rng = np.random.default_rng(seed)
         rank = np.stack([rng.permutation(n) for _ in range(m)]) \
             .astype(np.int32).reshape(m, n)
         lo = rng.integers(0, n + 1, (A, m))
         hi = np.minimum(lo + rng.integers(0, n + 1, (A, m)), n)
-        got = tier.dense_counts(rank, lo, hi)
+        got = kernels.dense_counts(rank, lo, hi)
         assert got.dtype == np.int32
         assert np.array_equal(got, _oracle_dense(rank, lo, hi))
 
     @settings(max_examples=60, deadline=None)
     @given(dims=tables, A=st.integers(1, 5), n_seg=st.integers(0, 12),
            seed=st.integers(0, 2**32 - 1))
-    def test_sparse_counts(self, tier, dims, A, n_seg, seed):
+    def test_sparse_counts(self, dims, A, n_seg, seed):
         m, n, _ = dims
         if n == 0:
             n_seg = 0  # no coverable positions
@@ -218,10 +109,10 @@ class TestTierMatchesOracle:
         seg_lo = rng.integers(0, max(n, 1), n_seg)
         lengths = rng.integers(0, n - seg_lo + 1) if n_seg else \
             np.zeros(0, np.int64)
-        got = tier.sparse_counts(order, seg_q.astype(np.int64),
-                                 seg_t.astype(np.int64),
-                                 seg_lo.astype(np.int64),
-                                 np.asarray(lengths, np.int64), A)
+        got = kernels.sparse_counts(order, seg_q.astype(np.int64),
+                                    seg_t.astype(np.int64),
+                                    seg_lo.astype(np.int64),
+                                    np.asarray(lengths, np.int64), A)
         assert got.dtype == np.int32
         assert np.array_equal(
             got, _oracle_sparse(order, seg_q, seg_t, seg_lo, lengths, A))
@@ -229,11 +120,11 @@ class TestTierMatchesOracle:
     @settings(max_examples=60, deadline=None)
     @given(A=st.integers(0, 6), n=st.integers(0, 50),
            threshold=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
-    def test_crossings(self, tier, A, n, threshold, seed):
+    def test_crossings(self, A, n, threshold, seed):
         rng = np.random.default_rng(seed)
         counts = rng.integers(0, 5, (A, n)).astype(np.int32)
         prev = np.minimum(counts, rng.integers(0, 5, (A, n))).astype(np.int32)
-        qs, ids = tier.crossings(counts, prev, threshold)
+        qs, ids = kernels.crossings(counts, prev, threshold)
         eq, eids = np.nonzero((counts >= threshold) & (prev < threshold))
         assert qs.dtype == np.int64 and ids.dtype == np.int64
         assert np.array_equal(qs, eq) and np.array_equal(ids, eids)
@@ -241,92 +132,52 @@ class TestTierMatchesOracle:
     @settings(max_examples=60, deadline=None)
     @given(vals=st.lists(st.floats(-1e6, 1e6), max_size=30),
            threshold=st.floats(-1e6, 1e6))
-    def test_count_leq(self, tier, vals, threshold):
+    def test_count_leq(self, vals, threshold):
         arr = np.sort(np.asarray(vals, dtype=np.float64))
-        assert tier.count_leq(arr, threshold) == int(
+        assert kernels.count_leq(arr, threshold) == int(
             np.searchsorted(arr, threshold, side="right"))
 
     @settings(max_examples=60, deadline=None)
     @given(a=st.lists(st.floats(-100, 100), max_size=20),
            b=st.lists(st.floats(-100, 100), max_size=20))
-    def test_merge_sorted(self, tier, a, b):
+    def test_merge_sorted(self, a, b):
         sa = np.sort(np.asarray(a, np.float64))
         sb = np.sort(np.asarray(b, np.float64))
-        got = tier.merge_sorted(sa, sb)
+        got = kernels.merge_sorted(sa, sb)
         assert np.array_equal(got, np.sort(np.concatenate((sa, sb))))
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 40), size=st.integers(0, 100),
            seed=st.integers(0, 2**32 - 1))
-    def test_bincount(self, tier, n, size, seed):
+    def test_bincount(self, n, size, seed):
         rng = np.random.default_rng(seed)
         ids = rng.integers(0, n, size)
-        got = tier.bincount_i32(ids, n)
+        got = kernels.bincount_i32(ids, n)
         assert got.dtype == np.int32
         assert np.array_equal(got, np.bincount(ids, minlength=n))
 
     @settings(max_examples=60, deadline=None)
     @given(shape=st.tuples(st.integers(0, 12), st.integers(0, 24)),
            seed=st.integers(0, 2**32 - 1))
-    def test_distances_close_to_naive(self, tier, shape, seed):
+    def test_distances_close_to_naive(self, shape, seed):
         rng = np.random.default_rng(seed)
         pts = rng.standard_normal(shape)
         q = rng.standard_normal(shape[1])
         np.testing.assert_allclose(
-            tier.euclidean_distances(pts, q),
+            kernels.euclidean_distances(pts, q),
             np.sqrt(((pts - q) ** 2).sum(axis=1)), rtol=1e-12, atol=0)
         np.testing.assert_allclose(
-            tier.manhattan_distances(pts, q),
+            kernels.manhattan_distances(pts, q),
             np.abs(pts - q).sum(axis=1), rtol=1e-12, atol=0)
 
 
 # --------------------------------------------------------------------------
-# cross-tier bit-identity (numba installed only)
+# adversarial shapes
 # --------------------------------------------------------------------------
 
-@needs_numba
-class TestTiersBitIdentical:
-
-    @settings(max_examples=40, deadline=None)
-    @given(shape=st.tuples(st.integers(0, 12), st.integers(0, 24)),
-           seed=st.integers(0, 2**32 - 1))
-    def test_distances_bit_identical(self, shape, seed):
-        rng = np.random.default_rng(seed)
-        pts = rng.standard_normal(shape)
-        q = rng.standard_normal(shape[1])
-        for fn in ("euclidean_distances", "manhattan_distances"):
-            a = getattr(numpy_tier, fn)(pts.copy(), q)
-            b = getattr(numba_tier, fn)(pts, q)
-            assert a.tobytes() == b.tobytes(), fn
-
-    def test_end_to_end_query_batch_bit_identical(self, restore_backend,
-                                                  clustered):
-        from repro import C2LSH
-
-        data, queries = clustered
-        per_tier = []
-        for tier in (numpy_tier, numba_tier):
-            _use(tier)
-            index = C2LSH(seed=11).fit(data)
-            per_tier.append(index.query_batch(queries, k=5, n_jobs=1))
-        for a, b in zip(*per_tier):
-            assert np.array_equal(a.ids, b.ids)
-            assert a.distances.tobytes() == b.distances.tobytes()
-            assert a.stats.terminated_by == b.stats.terminated_by
-            assert a.stats.rounds == b.stats.rounds
-            assert a.stats.scanned_entries == b.stats.scanned_entries
-            assert a.stats.candidates == b.stats.candidates
-
-
-# --------------------------------------------------------------------------
-# adversarial shapes through the dispatch layer
-# --------------------------------------------------------------------------
-
-@pytest.mark.parametrize("tier", TIERS)
 class TestAdversarialShapes:
 
-    def test_zero_row_tables(self, tier, restore_backend):
-        _use(tier)
+    def test_zero_row_tables(self):
         rows = np.empty((3, 0), dtype=np.int64)
         out = kernels.row_searchsorted(rows, np.array([1, 2, 3]))
         assert np.array_equal(out, np.zeros(3, dtype=np.int64))
@@ -335,8 +186,7 @@ class TestAdversarialShapes:
                                       np.zeros((2, 3), np.int64))
         assert counts.shape == (2, 0)
 
-    def test_empty_active_set(self, tier, restore_backend):
-        _use(tier)
+    def test_empty_active_set(self):
         rank = np.array([[0, 1, 2]], dtype=np.int32)
         counts = kernels.dense_counts(rank, np.zeros((0, 1), np.int64),
                                       np.zeros((0, 1), np.int64))
@@ -345,22 +195,19 @@ class TestAdversarialShapes:
                                     np.zeros((0, 3), np.int32), 1)
         assert qs.size == 0 and ids.size == 0
 
-    def test_no_segments(self, tier, restore_backend):
-        _use(tier)
+    def test_no_segments(self):
         order = np.array([[2, 0, 1]], dtype=np.int64)
         z = np.zeros(0, np.int64)
         delta = kernels.sparse_counts(order, z, z, z, z, 4)
         assert delta.shape == (4, 3) and not delta.any()
 
-    def test_single_query_batch(self, tier, restore_backend):
-        _use(tier)
+    def test_single_query_batch(self):
         rows = np.array([[0, 5, 5, 9]], dtype=np.int64)
         out = kernels.row_searchsorted(rows, np.array([[5]]), side="right")
         assert out.shape == (1, 1) and out[0, 0] == 3
 
-    def test_non_contiguous_views(self, tier, restore_backend):
+    def test_non_contiguous_views(self):
         """Strided views (shared_memory shard slices) must work unchanged."""
-        _use(tier)
         rng = np.random.default_rng(0)
         base = np.sort(rng.integers(0, 30, (8, 40)), axis=1)
         rows = base[::2]  # row-strided view
@@ -378,8 +225,7 @@ class TestAdversarialShapes:
             kernels.euclidean_distances(pts, q),
             np.sqrt(((pts - q) ** 2).sum(axis=1)), rtol=1e-12)
 
-    def test_duplicate_heavy_ties(self, tier, restore_backend):
-        _use(tier)
+    def test_duplicate_heavy_ties(self):
         rows = np.zeros((4, 32), dtype=np.int64)  # every id equal
         left = kernels.row_searchsorted(rows, np.zeros((3, 4), np.int64))
         right = kernels.row_searchsorted(rows, np.zeros((3, 4), np.int64),
@@ -388,35 +234,24 @@ class TestAdversarialShapes:
 
 
 # --------------------------------------------------------------------------
-# forced fallback end to end
+# public surface and end to end
 # --------------------------------------------------------------------------
 
-class TestForcedFallbackEndToEnd:
+def test_public_surface_is_the_kernels():
+    assert kernels.__all__ == [
+        "row_searchsorted", "dense_counts", "sparse_counts", "crossings",
+        "count_leq", "merge_sorted", "bincount_i32", "euclidean_distances",
+        "manhattan_distances"]
+    assert all(callable(getattr(kernels, name)) for name in kernels.__all__)
 
-    def test_numpy_forced_query_results_match_default(self, restore_backend,
-                                                      tiny):
-        """A REPRO_KERNELS=numpy run answers exactly like the default run."""
-        from repro import C2LSH
 
-        data, queries = tiny
-        kernels.select(None)
-        default = C2LSH(seed=3).fit(data).query_batch(queries, k=4, n_jobs=1)
-        kernels.select("numpy")
-        forced = C2LSH(seed=3).fit(data).query_batch(queries, k=4, n_jobs=1)
-        for a, b in zip(default, forced):
-            assert np.array_equal(a.ids, b.ids)
-            assert a.distances.tobytes() == b.distances.tobytes()
-            assert a.stats.terminated_by == b.stats.terminated_by
+def test_sequential_matches_batch(tiny):
+    from repro import C2LSH
 
-    def test_sequential_matches_batch_on_numpy_tier(self, restore_backend,
-                                                    tiny):
-        from repro import C2LSH
-
-        data, queries = tiny
-        kernels.select("numpy")
-        index = C2LSH(seed=3).fit(data)
-        seq = [index.query(q, k=4) for q in queries]
-        bat = index.query_batch(queries, k=4, n_jobs=1)
-        for a, b in zip(seq, bat):
-            assert np.array_equal(a.ids, b.ids)
-            assert a.distances.tobytes() == b.distances.tobytes()
+    data, queries = tiny
+    index = C2LSH(seed=3).fit(data)
+    seq = [index.query(q, k=4) for q in queries]
+    bat = index.query_batch(queries, k=4, n_jobs=1)
+    for a, b in zip(seq, bat):
+        assert np.array_equal(a.ids, b.ids)
+        assert a.distances.tobytes() == b.distances.tobytes()
