@@ -312,17 +312,16 @@ def occupancy_table(counter, qids, c):
 
 
 def merge_start_levels(payloads, l, need):
-    """Global start levels from per-worker shard estimate payloads.
+    """Global start levels from per-shard estimate payloads.
 
-    Each payload (a worker's ``batch_estimate`` answer, reduced over its
-    hosted shards) carries ``collide`` — the elementwise-minimum
-    ``(Q, m)`` collide levels — plus ``occ``, its summed
-    :func:`occupancy_table`, and ``total``, its occupancy at saturation.
-    A global bucket is non-empty iff some shard's restriction of it is,
-    so the cross-worker elementwise minimum reproduces the global collide
-    levels; occupancies are additive, with short ``occ`` rows padded by
-    ``total`` (past its saturation a shard's buckets cover all its
-    entries). The combination rule then matches
+    Each payload (one shard's entry in a worker's ``batch_estimate``
+    answer) carries ``collide`` — the shard's ``(Q, m)`` collide levels —
+    plus ``occ``, its :func:`occupancy_table`, and ``total``, its
+    occupancy at saturation. A global bucket is non-empty iff some
+    shard's restriction of it is, so the cross-shard elementwise minimum
+    reproduces the global collide levels; occupancies are additive, with
+    short ``occ`` rows padded by ``total`` (past its saturation a shard's
+    buckets cover all its entries). The combination rule then matches
     :func:`estimate_start_levels` decision for decision.
     """
     collide = np.minimum.reduce([p["collide"] for p in payloads])

@@ -321,23 +321,28 @@ class BatchQueryCounter:
 def _verify_many(index, jobs, io_reads, pool):
     """Distances for ``(query_index, ids, query_vector)`` jobs.
 
-    Data-file reads (and their page charges) run on the calling thread so
-    the page manager never races; only the distance computations fan out
-    to ``pool`` when one is given. Returns one distance array per job.
+    Data-file reads (and their page charges) run on the calling thread, in
+    job order, so the page manager never races; only the distance
+    computations fan out to ``pool`` when one is given. Without a pool
+    each job's distances are computed as soon as its vectors are read, so
+    only one job's vectors are held at a time. Returns one distance array
+    per job.
     """
     pm = index._pm
-    vectors = []
-    for q, ids, _ in jobs:
-        if pm is not None:
-            before = pm.stats.reads
-            vectors.append(index._datafile.read(ids))
-            io_reads[q] += pm.stats.reads - before
-        else:
-            vectors.append(index._datafile.read(ids))
+
+    def read(q, ids):
+        if pm is None:
+            return index._datafile.read(ids)
+        before = pm.stats.reads
+        vecs = index._datafile.read(ids)
+        io_reads[q] += pm.stats.reads - before
+        return vecs
+
+    distance = index._family.distance
     if pool is None:
-        return [index._family.distance(vecs, qvec)
-                for vecs, (_, _, qvec) in zip(vectors, jobs)]
-    futures = [pool.submit(index._family.distance, vecs, qvec)
+        return [distance(read(q, ids), qvec) for q, ids, qvec in jobs]
+    vectors = [read(q, ids) for q, ids, _ in jobs]
+    futures = [pool.submit(distance, vecs, qvec)
                for vecs, (_, _, qvec) in zip(vectors, jobs)]
     return [f.result() for f in futures]
 
@@ -632,6 +637,11 @@ class LocalRounds:
     classic full expansion: identical segments, page charges and
     verification order. ``uids`` (the raw projections over the bucket
     width) are needed only for the margin order.
+
+    A shard worker runs this same source over its shard's index
+    (:mod:`repro.sharding.worker`): :meth:`run_round` then reports to a
+    shard-local observer in place of the :class:`QueryState`, and the
+    coordinator's block driver takes every stopping decision.
     """
 
     round_span = "round"
@@ -753,15 +763,12 @@ class LocalRounds:
             projected = int((counts[q] >= l_p).sum())
             if projected < state.target:
                 continue
-            remaining = np.flatnonzero(~self.is_candidate[q])
-            need = min(min(pool_size, projected) - int(state.n_cand[q]),
-                       remaining.size)
             provisional[i] = True
             state.reason[q] = "T2-early"
-            if need <= 0:
-                continue
-            order = np.argsort(-counts[q, remaining], kind="stable")
-            jobs.append((q, remaining[order[:need]], self.queries[q]))
+            extra = self.best_unverified(
+                q, min(pool_size, projected) - int(state.n_cand[q]))
+            if extra.size:
+                jobs.append((q, extra, self.queries[q]))
         if jobs:
             with trace.span("verify", provisional=True,
                             count=int(sum(j[1].size for j in jobs))):
@@ -781,12 +788,9 @@ class LocalRounds:
         """
         jobs = []
         for q, need in state.shortfall(finished).items():
-            remaining = np.flatnonzero(~self.is_candidate[q])
-            if not remaining.size:
-                continue
-            order = np.argsort(-self.counter.counts[q, remaining],
-                               kind="stable")
-            jobs.append((q, remaining[order[:need]], self.queries[q]))
+            extra = self.best_unverified(q, need)
+            if extra.size:
+                jobs.append((q, extra, self.queries[q]))
         if not jobs:
             return
         with trace.span("verify", fallback=True,
@@ -795,6 +799,20 @@ class LocalRounds:
                                     self.pool)
         for (q, extra, _), dists in zip(jobs, verified):
             state.add_fallback(q, extra, dists)
+
+    def best_unverified(self, q, need):
+        """Up to ``need`` unverified objects of query ``q``, best first.
+
+        The fallback's order: collision count descending, then id
+        ascending (``argsort(-counts, kind="stable")``). A shard nominates
+        its fallback candidates in this order too, so the coordinator's
+        merge reproduces it over the whole database.
+        """
+        if need <= 0:
+            return np.empty(0, dtype=np.int64)
+        remaining = np.flatnonzero(~self.is_candidate[q])
+        order = np.argsort(-self.counter.counts[q, remaining], kind="stable")
+        return remaining[order[:need]]
 
 
 def _pages_saved(counter, exiting, remaining_tables, radius):

@@ -124,23 +124,37 @@ class C2LSH:
     def fit(self, data):
         """Build the index over ``data`` of shape ``(n, dim)``; returns self."""
         data = as_data_matrix(data)
+        return self._assemble(data, *self._design(data))
+
+    def _design(self, data):
+        """The design for ``data``: ``(family, funcs, params, scale)``.
+
+        Draws from the RNG in a fixed order, the distance-scale sample
+        first and the hash functions second, so a sharded engine holding
+        the same knobs and seed designs exactly this index.
+        """
         n, dim = data.shape
-        if self._family is None:
-            self._family = PStableFamily(dim, w=self._w, c=self._c)
-        if self._family.metric in ("euclidean", "manhattan"):
-            self._scale = resolve_base_radius(self._base_radius, data,
-                                              self._rng,
-                                              metric=self._family.metric)
-        else:
-            self._scale = 1.0
-        self.params = design_params(
-            n, self._family, c=self._c, beta=self._beta, delta=self._delta,
+        family = self._family
+        if family is None:
+            family = PStableFamily(dim, w=self._w, c=self._c)
+        scale = 1.0
+        if family.metric in ("euclidean", "manhattan"):
+            scale = resolve_base_radius(self._base_radius, data, self._rng,
+                                        metric=family.metric)
+        params = design_params(
+            n, family, c=self._c, beta=self._beta, delta=self._delta,
             alpha=self._alpha, m=self._m_override,
         )
+        return family, family.sample(params.m, self._rng), params, scale
+
+    def _assemble(self, data, family, funcs, params, scale):
+        """Index ``data`` under a design: hash the rows, build the tables
+        and the data file. Fit, load and every shard build run this."""
+        self._family, self._funcs, self.params = family, funcs, params
+        self._scale = scale
         self._data = data
-        self._funcs = self._family.sample(self.params.m, self._rng)
-        bucket_ids = self._funcs.hash(self._hash_view(data))
-        self._counter = CollisionCounter(bucket_ids, self._pm)
+        self._counter = CollisionCounter(funcs.hash(self._hash_view(data)),
+                                         self._pm)
         # The data file charges its own build write and verification reads.
         self._datafile = DataFile(data, self._pm, layout=self._data_layout)
         return self

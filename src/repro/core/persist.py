@@ -1,10 +1,11 @@
 """Save/load fitted C2LSH and QALSH indexes, crash-safely.
 
 A C2LSH index is fully determined by its data, its sampled hash functions
-(projection matrix, offsets, bucket width), its parameters and its distance
-unit, so persistence is one compressed ``.npz`` file. The sorted hash
-tables are rebuilt on load (an ``O(n m log n)`` argsort — cheaper to redo
-than to store, and bit-identical because hashing is deterministic).
+(projection matrix, offsets, bucket width), its parameters, its distance
+unit and its data-file layout, so persistence is one compressed ``.npz``
+file. The sorted hash tables are rebuilt on load (an ``O(n m log n)``
+argsort — cheaper to redo than to store, and bit-identical because
+hashing is deterministic).
 
 Two reliability guarantees (format version 2):
 
@@ -37,9 +38,7 @@ import numpy as np
 
 from ..hashing.pstable import PStableFamily, PStableFunctions
 from ..reliability.errors import CorruptIndexError
-from ..storage.datafile import DataFile
 from .c2lsh import C2LSH
-from .counting import CollisionCounter
 from .params import C2LSHParams
 
 __all__ = ["save_c2lsh", "load_c2lsh", "save_qalsh", "load_qalsh",
@@ -222,6 +221,48 @@ def load_arrays(path, kind):
     return _load_verified(path, str(kind))
 
 
+def _design_arrays(index):
+    """Members recording a fitted :class:`C2LSH`'s or
+    :class:`~repro.sharding.ShardedC2LSH`'s rows, design and data-file
+    layout; both persisters write them and :func:`_design_from` reads
+    them back."""
+    if not isinstance(index._family, PStableFamily):
+        raise TypeError(
+            "only indexes over the default PStableFamily can be saved, "
+            f"got {type(index._family).__name__}"
+        )
+    p = index.params
+    return {
+        "data": np.asarray(index._data),
+        "projections": index._funcs._projections,
+        "offsets": index._funcs._offsets,
+        "funcs_w": index._funcs.w,
+        "family_w": index._family.w,
+        "scale": index._scale,
+        "params": np.array([p.n, p.c, p.w, p.p1, p.p2, p.alpha, p.m, p.l,
+                            p.beta, p.delta]),
+        "data_layout": np.array(index._data_layout),
+    }
+
+
+def _design_from(blob):
+    """``(data, (family, funcs, params, scale), layout)`` from a verified
+    blob; files saved before the layout was recorded hold the default
+    ``"scattered"`` data file."""
+    data = np.ascontiguousarray(blob["data"])
+    raw = blob["params"]
+    params = C2LSHParams(
+        n=int(raw[0]), c=int(raw[1]), w=float(raw[2]), p1=float(raw[3]),
+        p2=float(raw[4]), alpha=float(raw[5]), m=int(raw[6]), l=int(raw[7]),
+        beta=float(raw[8]), delta=float(raw[9]),
+    )
+    family = PStableFamily(data.shape[1], w=float(blob["family_w"]))
+    funcs = PStableFunctions(blob["projections"], blob["offsets"],
+                             float(blob["funcs_w"]))
+    layout = str(blob.get("data_layout", "scattered"))
+    return data, (family, funcs, params, float(blob["scale"])), layout
+
+
 def save_c2lsh(index, path):
     """Persist a fitted :class:`C2LSH` index to ``path`` (``.npz``).
 
@@ -231,21 +272,8 @@ def save_c2lsh(index, path):
     """
     if not index.is_fitted:
         raise ValueError("cannot save an unfitted index")
-    if not isinstance(index._family, PStableFamily):
-        raise TypeError(
-            "only indexes over the default PStableFamily can be saved, "
-            f"got {type(index._family).__name__}"
-        )
-    p = index.params
     return _save_index(path, "c2lsh", {
-        "data": index._data,
-        "projections": index._funcs._projections,
-        "offsets": index._funcs._offsets,
-        "funcs_w": index._funcs.w,
-        "family_w": index._family.w,
-        "scale": index._scale,
-        "params": np.array([p.n, p.c, p.w, p.p1, p.p2, p.alpha, p.m, p.l,
-                            p.beta, p.delta]),
+        **_design_arrays(index),
         "incremental": index._incremental,
         "use_t1": index._use_t1,
     })
@@ -261,33 +289,13 @@ def load_c2lsh(path, page_manager=None):
     ``fit``).
     """
     blob = _load_verified(path, "c2lsh")
-    data = blob["data"]
-    projections = blob["projections"]
-    offsets = blob["offsets"]
-    funcs_w = float(blob["funcs_w"])
-    family_w = float(blob["family_w"])
-    scale = float(blob["scale"])
-    raw = blob["params"]
-    incremental = bool(blob["incremental"])
-    use_t1 = bool(blob["use_t1"])
-
-    params = C2LSHParams(
-        n=int(raw[0]), c=int(raw[1]), w=float(raw[2]), p1=float(raw[3]),
-        p2=float(raw[4]), alpha=float(raw[5]), m=int(raw[6]), l=int(raw[7]),
-        beta=float(raw[8]), delta=float(raw[9]),
-    )
+    data, design, layout = _design_from(blob)
+    _, _, params, scale = design
     index = C2LSH(c=params.c, page_manager=page_manager,
-                  base_radius=scale, incremental=incremental,
-                  use_t1=use_t1)
-    index._family = PStableFamily(data.shape[1], w=family_w)
-    index._scale = scale
-    index.params = params
-    index._data = np.ascontiguousarray(data)
-    index._funcs = PStableFunctions(projections, offsets, funcs_w)
-    bucket_ids = index._funcs.hash(index._hash_view(index._data))
-    index._counter = CollisionCounter(bucket_ids, page_manager)
-    index._datafile = DataFile(index._data, page_manager)
-    return index
+                  base_radius=scale, data_layout=layout,
+                  incremental=bool(blob["incremental"]),
+                  use_t1=bool(blob["use_t1"]))
+    return index._assemble(data, *design)
 
 
 def save_qalsh(index, path):

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..validation import as_query_vector, require_finite
 from .c2lsh import C2LSH
 from .results import QueryResult, QueryStats
 
@@ -96,7 +97,7 @@ class UpdatableC2LSH:
                 f"dimension mismatch: index holds {self._dim}-d points, "
                 f"got {points.shape[1]}-d"
             )
-        return points
+        return require_finite(points, "points")
 
     def insert(self, points):
         """Insert one vector or an ``(n, dim)`` batch; returns new handles."""
@@ -202,9 +203,7 @@ class UpdatableC2LSH:
             raise ValueError(f"k must be positive, got {k}")
         if self._dim is None:
             raise RuntimeError("index is empty; insert points first")
-        query = np.asarray(query, dtype=np.float64)
-        if query.shape != (self._dim,):
-            raise ValueError(f"query must have shape ({self._dim},)")
+        query = as_query_vector(query, self._dim)
 
         ids = []
         dists = []

@@ -1,11 +1,11 @@
 """ShardedC2LSH: a multi-core C2LSH engine with exact fan-out queries.
 
-The dataset is row-partitioned into ``S`` shards. Each shard holds a full
-C2LSH counting structure (its own sorted hash tables and data file) built
-over its rows — but all shards share *one* set of hash functions, one
-distance scale and one global ``(m, l)`` design, all derived from the full
-dataset exactly as :meth:`repro.core.c2lsh.C2LSH.fit` derives them. An
-object's collision count with a query depends only on its own hashes, so
+The dataset is row-partitioned into ``S`` shards. Each shard is a C2LSH
+index (its own sorted hash tables and data file) built over its rows —
+but all shards share *one* set of hash functions, one distance scale and
+one global ``(m, l)`` design, all derived from the full dataset exactly
+as :meth:`repro.core.c2lsh.C2LSH.fit` derives them. An object's
+collision count with a query depends only on its own hashes, so
 per-shard counts equal the unsharded counts restricted to the shard's
 rows.
 
@@ -62,9 +62,7 @@ from ..core.adaptive import (
     merge_start_levels,
 )
 from ..core.batchengine import QueryState, drive_block
-from ..core.params import design_params
-from ..core.scaling import resolve_base_radius
-from ..hashing.pstable import PStableFamily
+from ..core.c2lsh import C2LSH
 from ..obs import flight, trace
 from ..obs.registry import MetricsRegistry
 from ..obs.remote import graft
@@ -330,16 +328,11 @@ class ShardedC2LSH:
         if int(n_workers) < 0:
             raise ValueError(f"n_workers must be >= 0, got {n_workers}")
         self.n_workers = min(int(n_workers), self.n_shards)
-        self._c = int(c)
-        self._w = w
-        self._beta = beta
-        self._delta = delta
-        self._alpha = alpha
-        self._m_override = m
-        if rng is None:
-            rng = np.random.default_rng(seed)
-        self._rng = rng
-        self._base_radius = base_radius
+        # The coordinator designs the index as an unsharded C2LSH with the
+        # same knobs and seed would (C2LSH._design).
+        self._designer = C2LSH(c=c, w=w, beta=beta, delta=delta,
+                               alpha=alpha, m=m, seed=seed, rng=rng,
+                               base_radius=base_radius)
         self._data_layout = data_layout
         self._use_t1 = bool(use_t1)
         self._page_accounting = bool(page_accounting)
@@ -375,24 +368,16 @@ class ShardedC2LSH:
         """Partition ``data``, build all shards in parallel; returns self.
 
         The design phase (distance scale, ``(m, l)``, hash-function
-        sample) runs at the coordinator over the full dataset — the exact
-        computation :meth:`repro.core.c2lsh.C2LSH.fit` performs — and the
-        per-shard table builds fan out to the workers.
+        sample) runs at the coordinator over the full dataset, through the
+        design step of :meth:`repro.core.c2lsh.C2LSH.fit`; each worker then
+        assembles its shards as C2LSH indexes under that design.
         """
         if self._runner is not None:
             raise RuntimeError(
                 "engine is already fitted; create a new ShardedC2LSH"
             )
         data = as_data_matrix(data)
-        n, dim = data.shape
-        family = PStableFamily(dim, w=self._w, c=self._c)
-        scale = resolve_base_radius(self._base_radius, data, self._rng,
-                                    metric=family.metric)
-        params = design_params(n, family, c=self._c, beta=self._beta,
-                               delta=self._delta, alpha=self._alpha,
-                               m=self._m_override)
-        funcs = family.sample(params.m, self._rng)
-        self._assemble(data, family, funcs, params, scale)
+        self._assemble(data, *self._designer._design(data))
         return self
 
     def _assemble(self, data, family, funcs, params, scale, offsets=None):
@@ -425,20 +410,14 @@ class ShardedC2LSH:
                 shape=tuple(data.shape), dtype=str(data.dtype),
                 projections=funcs._projections, offsets=funcs._offsets,
                 funcs_w=funcs.w, family_w=family.w, scale=self._scale,
-                l=params.l, data_layout=self._data_layout,
+                params=params, data_layout=self._data_layout,
                 page_accounting=self._page_accounting,
                 page_size=self._page_size,
                 page_latency_s=self._page_latency_s,
                 fault_plan=self._fault_plan, fault_seed=self._fault_seed,
-                c=params.c,
             )
             if serial:
-                self._data = data
-                configs = [HostConfig(
-                    shards=tuple(specs[s] for s in group), data=data,
-                    worker_index=w, **common,
-                ) for w, group in enumerate(groups)]
-                self._runner = _SerialRunner(configs)
+                self._data = common["data"] = data
             else:
                 from multiprocessing import shared_memory
 
@@ -448,11 +427,12 @@ class ShardedC2LSH:
                                     buffer=self._shm.buf)
                 shared[:] = data
                 self._data = shared
-                configs = [HostConfig(
-                    shards=tuple(specs[s] for s in group),
-                    shm_name=self._shm.name, worker_index=w, **common,
-                ) for w, group in enumerate(groups)]
-                self._runner = _ProcessRunner(configs)
+                common["shm_name"] = self._shm.name
+            configs = [HostConfig(shards=tuple(specs[s] for s in group),
+                                  worker_index=w, **common)
+                       for w, group in enumerate(groups)]
+            self._runner = (_SerialRunner if serial
+                            else _ProcessRunner)(configs)
             self._supervisor = WorkerSupervisor(
                 self._runner, configs, groups, self._failover,
                 self.metrics)
@@ -679,7 +659,7 @@ class ShardedC2LSH:
     def query_batch(self, queries, k=1, budget=None, probe=None):
         """Answer many queries with per-round shard fan-out.
 
-        Each worker advances the PR-1 lockstep batch engine over its own
+        Each worker runs the local batch engine's round over its own
         shards; the coordinator merges every round's observations and
         applies the global termination rules. ``budget`` (a
         :class:`repro.reliability.QueryBudget`) applies to each query's
@@ -985,7 +965,8 @@ class _ShardRounds:
         with trace.span("shard.estimate_start",
                         queries=int(state.n_queries)):
             estimates = eng._call(self.replay, "batch_estimate", (self.sid,))
-            payloads = [estimates[w] for w in sorted(estimates)]
+            payloads = [shard for w in sorted(estimates)
+                        for shard in estimates[w]]
             if payloads:
                 levels = merge_start_levels(payloads, params.l,
                                             params.l * state.first_stop)

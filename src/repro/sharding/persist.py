@@ -20,9 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.params import C2LSHParams
-from ..core.persist import load_arrays, save_arrays
-from ..hashing.pstable import PStableFamily, PStableFunctions
+from ..core.persist import (
+    _design_arrays,
+    _design_from,
+    load_arrays,
+    save_arrays,
+)
 from .engine import ShardedC2LSH
 
 __all__ = ["save_sharded", "load_sharded"]
@@ -38,23 +41,9 @@ def save_sharded(engine, path):
     """
     if not engine.is_fitted:
         raise ValueError("cannot save an unfitted or closed engine")
-    if not isinstance(engine._family, PStableFamily):
-        raise TypeError(
-            "only engines over the default PStableFamily can be saved, "
-            f"got {type(engine._family).__name__}"
-        )
-    p = engine.params
     return save_arrays(path, _KIND, {
-        "data": np.asarray(engine._data),
-        "projections": engine._funcs._projections,
-        "offsets": engine._funcs._offsets,
-        "funcs_w": engine._funcs.w,
-        "family_w": engine._family.w,
-        "scale": engine._scale,
-        "params": np.array([p.n, p.c, p.w, p.p1, p.p2, p.alpha, p.m, p.l,
-                            p.beta, p.delta]),
+        **_design_arrays(engine),
         "shard_offsets": np.asarray(engine._offsets, dtype=np.int64),
-        "data_layout": np.array(engine._data_layout),
         "use_t1": engine._use_t1,
         "page_accounting": engine._page_accounting,
         "page_size": engine._page_size,
@@ -80,14 +69,8 @@ def load_sharded(path, n_workers=None, *, page_latency_s=None,
     engine's ``shard.*`` metrics.
     """
     blob = load_arrays(path, _KIND)
-    data = np.ascontiguousarray(blob["data"])
-    raw = blob["params"]
-    params = C2LSHParams(
-        n=int(raw[0]), c=int(raw[1]), w=float(raw[2]), p1=float(raw[3]),
-        p2=float(raw[4]), alpha=float(raw[5]), m=int(raw[6]), l=int(raw[7]),
-        beta=float(raw[8]), delta=float(raw[9]),
-    )
-    scale = float(blob["scale"])
+    data, design, layout = _design_from(blob)
+    _, _, params, scale = design
     shard_off = np.asarray(blob["shard_offsets"], dtype=np.int64)
     if page_latency_s is None:
         page_latency_s = float(blob["page_latency_s"])
@@ -97,7 +80,7 @@ def load_sharded(path, n_workers=None, *, page_latency_s=None,
         n_workers=n_workers,
         c=params.c,
         base_radius=scale,
-        data_layout=str(blob["data_layout"]),
+        data_layout=layout,
         use_t1=bool(blob["use_t1"]),
         page_accounting=bool(blob["page_accounting"]),
         page_size=int(blob["page_size"]),
@@ -108,8 +91,5 @@ def load_sharded(path, n_workers=None, *, page_latency_s=None,
         failover=failover,
         metrics=metrics,
     )
-    family = PStableFamily(data.shape[1], w=float(blob["family_w"]))
-    funcs = PStableFunctions(blob["projections"], blob["offsets"],
-                             float(blob["funcs_w"]))
-    engine._assemble(data, family, funcs, params, scale, offsets=shard_off)
+    engine._assemble(data, *design, offsets=shard_off)
     return engine

@@ -1,38 +1,38 @@
 """Shard-side execution: per-process shard state and lockstep round tasks.
 
 A worker process (or the in-process serial runner) hosts one or more
-*shards* — contiguous row ranges of the dataset, each with its own
-:class:`~repro.core.counting.CollisionCounter`, :class:`~repro.storage.
-DataFile` and :class:`~repro.storage.PageManager`. The dataset itself is
-never pickled per task: process workers attach a
-:mod:`multiprocessing.shared_memory` segment the coordinator filled once,
-and every shard index is built over a zero-copy slice view of it.
+*shards*. A shard is an ordinary :class:`~repro.core.c2lsh.C2LSH` over a
+contiguous row slice of the dataset, assembled from the coordinator's
+global design (hash functions, ``(m, l)``, distance scale) with its own
+:class:`~repro.storage.PageManager`. The dataset itself is never pickled
+per task: process workers attach a :mod:`multiprocessing.shared_memory`
+segment the coordinator filled once, and every shard index is built over a
+zero-copy slice view of it.
 
-The protocol is deliberately thin. The coordinator
-(:class:`repro.sharding.ShardedC2LSH`) owns *all* termination logic; a
-worker only ever executes one radius round (or one fallback step) for the
-shards it hosts and reports raw per-query observations back. That split is
-what makes the sharded engine bit-identical to the unsharded index: the
-same global T1/T2/exhaustion/budget decisions are applied to the union of
-per-shard observations that the lockstep batch engine applies to its own.
+A shard's round is the unsharded engine's round. A lockstep session opens
+one :class:`~repro.core.batchengine.LocalRounds` per shard, and each round
+runs its ``run_round`` with a shard-local observer (:class:`_ShardRound`)
+in place of the block's :class:`~repro.core.batchengine.QueryState`. The
+coordinator (:class:`repro.sharding.ShardedC2LSH`) owns *all* termination
+logic; a worker only ever executes one radius round (or one fallback step)
+for the shards it hosts and reports raw per-query observations back. That
+split is what makes the sharded engine bit-identical to the unsharded
+index: the same global T1/T2/exhaustion/budget decisions are applied to
+the union of per-shard observations that the lockstep batch engine
+applies to its own.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.adaptive import (
-    _chunk_bounds,
-    collide_levels,
-    occupancy_table,
-    probe_order,
-)
-from ..core.batchengine import BatchQueryCounter
-from ..core.counting import CollisionCounter
+from ..core.adaptive import AdaptiveConfig, collide_levels, occupancy_table
+from ..core.batchengine import LocalRounds, _verify_many
+from ..core.c2lsh import C2LSH
 from ..hashing.pstable import PStableFamily, PStableFunctions
 from ..obs import trace
 from ..obs.registry import Counter, MetricsRegistry
@@ -40,7 +40,6 @@ from ..obs.remote import export_events
 from ..obs.trace import tracing
 from ..reliability.errors import InjectedWorkerExit
 from ..reliability.faults import FaultInjector, FaultPlan
-from ..storage.datafile import DataFile
 from ..storage.pages import PageManager
 
 __all__ = ["ShardSpec", "HostConfig", "ShardHost", "RoundPayload"]
@@ -62,9 +61,11 @@ class HostConfig:
     ``shm_name`` names a shared-memory segment holding the full dataset;
     when ``None`` (serial runner, or spawn-less fallbacks) ``data`` carries
     the matrix directly. ``projections``/``offsets``/``funcs_w`` are the
-    *global* hash functions every shard shares — sampling them once at the
-    coordinator is what makes per-shard collision counts equal the
-    unsharded index's counts restricted to the shard's rows.
+    *global* hash functions every shard shares, and ``params`` (a
+    :class:`~repro.core.params.C2LSHParams`) and ``scale`` the global
+    design — sampling them once at the coordinator is what makes
+    per-shard collision counts equal the unsharded index's counts
+    restricted to the shard's rows.
 
     ``worker_index`` is this host's position in the engine's worker
     layout; ``worker_exit.*`` fault rules scoped with
@@ -87,15 +88,13 @@ class HostConfig:
     funcs_w: float = 1.0
     family_w: float = 1.0
     scale: float = 1.0
-    l: int = 1
+    params: object = None
     data_layout: str = "scattered"
     page_accounting: bool = False
     page_size: int = 4096
     page_latency_s: float = 0.0
     fault_plan: object = None
     fault_seed: int = 0
-    c: int = 2
-    incremental: bool = True
     worker_index: int = 0
     chaos_generation: int = 0
 
@@ -136,55 +135,68 @@ class RoundPayload:
     probes_skipped: np.ndarray = None
 
 
-@dataclass
-class _Session:
-    """Per-(shard, batch) lockstep state, kept between rounds.
+class _ShardRound:
+    """What one shard's round found, gathered while ``LocalRounds`` runs it.
 
-    ``probe`` (adaptive sessions only) is the coordinator's probe payload:
-    the ``(Q, m)`` projection coordinates plus the chunk count of the
-    :class:`repro.core.adaptive.AdaptiveConfig` driving the block.
+    Stands in for the coordinator's
+    :class:`~repro.core.batchengine.QueryState` and takes the one decision
+    a shard takes: between chunks, a query stops probing this shard once
+    the shard's new candidates cover its global T2 deficit (``need["t2"]``
+    per query of ``group``). The coordinator adds at least these
+    candidates, so its own T2 is sure to fire this round; every other
+    decision is the coordinator's. Arrays are indexed by block query.
     """
 
-    counter: BatchQueryCounter
-    queries: np.ndarray
-    is_candidate: np.ndarray = field(default=None)
-    qids: np.ndarray = field(default=None)
-    probe: dict = field(default=None)
+    traced = False  # the payload carries no pages_saved
 
+    def __init__(self, n_queries, group, need):
+        self.scanned = np.zeros(n_queries, dtype=np.int64)
+        self.io_reads = np.zeros(n_queries, dtype=np.int64)
+        self.probes_issued = np.zeros(n_queries, dtype=np.int64)
+        self.probes_skipped = np.zeros(n_queries, dtype=np.int64)
+        self.deficit = np.zeros(n_queries, dtype=np.int64)
+        if need is not None:
+            self.deficit[group] = need["t2"]
+        self.found = {}  # query -> [(ids, dists)], in verification order
 
-class _ShardIndex:
-    """One shard: counting tables + data file over a zero-copy row slice."""
+    def charge(self, sub, scanned, pages, probes):
+        self.scanned[sub] += scanned
+        if pages is not None:
+            self.io_reads[sub] += pages
+        self.probes_issued[sub] += probes
 
-    def __init__(self, spec, data_slice, funcs, config):
-        self.spec = spec
-        self.offset = spec.start
-        self.n = data_slice.shape[0]
-        pm = None
-        if config.page_accounting:
-            injector = None
-            if config.fault_plan is not None:
-                # Per-shard seeds keep fault schedules independent across
-                # shards while staying deterministic for a fixed layout.
-                injector = FaultInjector(
-                    FaultPlan.from_dict(config.fault_plan),
-                    seed=config.fault_seed + spec.shard_id,
-                )
-            pm = PageManager(page_size=config.page_size,
-                             page_latency_s=config.page_latency_s,
-                             fault_injector=injector)
-        self.pm = pm
-        self.family = PStableFamily(data_slice.shape[1], w=config.family_w)
-        started = time.perf_counter()
-        hashed = data_slice if config.scale == 1.0 \
-            else data_slice / config.scale
-        self.counter = CollisionCounter(funcs.hash(hashed), pm)
-        self.datafile = DataFile(data_slice, pm, layout=config.data_layout)
-        self.build_seconds = time.perf_counter() - started
+    def skip(self, sub, probes):
+        self.probes_skipped[sub] += probes
 
-    def io_totals(self):
-        if self.pm is None:
-            return (0, 0)
-        return (self.pm.stats.reads, self.pm.stats.writes)
+    def add(self, q, ids, dists):
+        self.found.setdefault(q, []).append((ids, dists))
+        self.deficit[q] -= ids.size
+
+    def stop(self, sub, radius, exhausted=None, level=None):
+        # Asked between chunks; at a round's end the answer goes unused.
+        return self.deficit[sub] <= 0
+
+    def payload(self, shard_id, offset, group, exhausted, seconds,
+                probing):
+        """The round as a :class:`RoundPayload` over ``group``; ids
+        become global."""
+        parts = [(i, ids, dists) for i, q in enumerate(group.tolist())
+                 for ids, dists in self.found.get(q, ())]
+        return RoundPayload(
+            shard_id=shard_id,
+            qpos=np.concatenate([np.empty(0, dtype=np.int64)] + [
+                np.full(ids.size, i) for i, ids, _ in parts]),
+            ids=np.concatenate([np.empty(0, dtype=np.int64)] + [
+                ids for _, ids, _ in parts]) + offset,
+            dists=np.concatenate([np.empty(0)] + [
+                dists for _, _, dists in parts]),
+            scanned=self.scanned[group],
+            io_pages=self.io_reads[group],
+            exhausted=exhausted,
+            seconds=seconds,
+            probes_issued=self.probes_issued[group] if probing else None,
+            probes_skipped=self.probes_skipped[group] if probing else None,
+        )
 
 
 class ShardHost:
@@ -214,8 +226,8 @@ class ShardHost:
                                     buffer=self._shm.buf)
         else:
             self._full = np.asarray(config.data)
-        self._shards = {}
-        self._sessions = {}
+        self._shards = {}     # shard id -> (row offset, C2LSH)
+        self._sessions = {}   # (session id, shard id) -> LocalRounds
         # Host-local telemetry: counters accumulate here and ship to the
         # coordinator as deltas piggybacked on round payloads.
         self.metrics = MetricsRegistry()
@@ -273,76 +285,83 @@ class ShardHost:
     def build(self):
         """Build every hosted shard; returns per-shard build info."""
         self._chaos_step("build")
-        funcs = PStableFunctions(self.config.projections,
-                                 self.config.offsets, self.config.funcs_w)
+        config = self.config
+        family = PStableFamily(config.shape[1], w=config.family_w)
+        funcs = PStableFunctions(config.projections, config.offsets,
+                                 config.funcs_w)
         info = {}
-        for spec in self.config.shards:
-            shard = _ShardIndex(spec, self._full[spec.start:spec.stop],
-                                funcs, self.config)
-            self._shards[spec.shard_id] = shard
-            reads, writes = shard.io_totals()
+        for spec in config.shards:
+            started = time.perf_counter()
+            pm = self._page_manager(spec)
+            index = C2LSH(page_manager=pm, data_layout=config.data_layout)
+            index._assemble(self._full[spec.start:spec.stop], family, funcs,
+                            config.params, config.scale)
+            self._shards[spec.shard_id] = (spec.start, index)
             info[spec.shard_id] = {
-                "n": shard.n,
-                "seconds": shard.build_seconds,
-                "io_writes": writes,
+                "n": spec.stop - spec.start,
+                "seconds": time.perf_counter() - started,
+                "io_writes": 0 if pm is None else pm.stats.writes,
             }
         return info
+
+    def _page_manager(self, spec):
+        """A shard's own page manager, or ``None`` without accounting."""
+        config = self.config
+        if not config.page_accounting:
+            return None
+        injector = None
+        if config.fault_plan is not None:
+            # Per-shard seeds keep fault schedules independent across
+            # shards while staying deterministic for a fixed layout.
+            injector = FaultInjector(
+                FaultPlan.from_dict(config.fault_plan),
+                seed=config.fault_seed + spec.shard_id,
+            )
+        return PageManager(page_size=config.page_size,
+                           page_latency_s=config.page_latency_s,
+                           fault_injector=injector)
 
     # -- batch session protocol ---------------------------------------------
 
     def batch_start(self, session_id, queries, qids, probe=None):
         """Open a lockstep session for a ``(Q, dim)`` query block.
 
-        ``probe`` (adaptive blocks only) carries the query projection
-        coordinates and probing knobs; classic blocks omit it and every
-        later round runs the exact classic protocol.
+        Each shard gets its own :class:`~repro.core.batchengine.
+        LocalRounds`. ``probe`` (adaptive blocks only) carries the query
+        projection coordinates and the chunk count; classic blocks omit
+        it and probe every table in one pass. Shards take certified exits
+        only: a provisional exit ranks objects by partial counts over the
+        whole database, which no shard holds.
         """
         self._chaos_step("batch_start")
-        for shard in self._shards.values():
-            self._sessions[(session_id, shard.spec.shard_id)] = _Session(
-                counter=BatchQueryCounter(shard.counter, qids),
-                queries=queries,
-                is_candidate=np.zeros((queries.shape[0], shard.n),
-                                      dtype=bool),
-                qids=np.asarray(qids, dtype=np.int64),
-                probe=probe,
-            )
+        chunks = 1 if probe is None else probe["chunks"]
+        config = AdaptiveConfig(chunks=chunks, start_estimate=False,
+                                provisional_exit=False)
+        uids = None if probe is None else probe["uids"]
+        for shard_id, (_, index) in self._shards.items():
+            self._sessions[(session_id, shard_id)] = LocalRounds(
+                index, queries, qids, uids, config, pool=None)
         return True
 
     def batch_estimate(self, session_id):
-        """Radius-start statistics for the session, reduced over shards.
+        """Radius-start statistics for the session, one entry per shard.
 
-        Returns ``{"collide": (Q, m) min collide levels, "occ": (Q, L)
-        occupancy sums, "total": occupancy at saturation}`` — this
-        worker's contribution to the coordinator's global
-        :func:`repro.core.adaptive.merge_start_levels` reduction. Reads
-        only the in-memory sorted id arrays; no pages are charged,
-        matching the unsharded estimator.
+        Each entry is ``{"collide": (Q, m) collide levels, "occ": (Q, L)
+        occupancy table, "total": occupancy at saturation}``: one shard's
+        part of the coordinator's
+        :func:`repro.core.adaptive.merge_start_levels`, which does the
+        only merge. Reads only the in-memory sorted id arrays; no pages
+        are charged, matching the unsharded estimator.
         """
         self._chaos_step("batch_estimate")
-        c = self.config.c
-        collide = None
-        occs = []
-        total = 0
+        out = []
         for shard_id in sorted(self._shards):
-            shard = self._shards[shard_id]
-            session = self._sessions[(session_id, shard_id)]
-            levels = collide_levels(shard.counter, session.qids, c)
-            collide = levels if collide is None \
-                else np.minimum(collide, levels)
-            occs.append(occupancy_table(shard.counter, session.qids, c))
-            total += shard.counter.m * shard.n
-        width = max(o.shape[1] for o in occs)
-        occ = np.zeros((collide.shape[0], width), dtype=np.int64)
-        for shard_occ, shard_id in zip(occs, sorted(self._shards)):
-            w = shard_occ.shape[1]
-            occ[:, :w] += shard_occ
-            if w < width:
-                # Past its saturation a shard's buckets cover all its
-                # entries in every table.
-                shard = self._shards[shard_id]
-                occ[:, w:] += shard.counter.m * shard.n
-        return {"collide": collide, "occ": occ, "total": int(total)}
+            rounds = self._sessions[(session_id, shard_id)]
+            counter, c = rounds.index._counter, rounds.index.params.c
+            out.append({"collide": collide_levels(counter, rounds.qids, c),
+                        "occ": occupancy_table(counter, rounds.qids, c),
+                        "total": counter.m * counter.n})
+        return out
 
     def batch_round(self, session_id, radius, active, collect=False,
                     need=None):
@@ -394,109 +413,20 @@ class ShardHost:
         return payloads
 
     def _shard_round(self, session_id, shard_id, radius, active, need):
-        """One shard's expand/cross/verify for one radius round.
+        """One shard's round: the local engine's round under a
+        :class:`_ShardRound` observer, returned as its payload.
 
-        Mirrors one round of the unsharded block driver's local source
-        (:class:`repro.core.batchengine.LocalRounds`), restricted to the
-        shard's rows. A classic session probes all ``m`` tables in one
-        pass. An adaptive session probes them most-promising-first (the
-        same :func:`~repro.core.adaptive.probe_order` ranking), ``chunks``
-        at a time, verifying each chunk's threshold-crossers as it goes;
-        a query stops probing — and charges nothing for its remaining
-        tables — once this shard's new candidates alone cover its global
-        T2 deficit (``need["t2"]``): the coordinator adds at least these
-        candidates, so its centralized T2 decision is guaranteed to fire
-        this round. Global T1/T2/exhaustion/budget decisions all remain at
-        the coordinator; the shard only ever cuts provably-redundant local
-        work, shipping the per-query probe counts home on adaptive
-        payloads.
+        A classic session (no ``uids``) reports no probe counts.
         """
-        shard = self._shards[shard_id]
-        session = self._sessions[(session_id, shard_id)]
-        probe = session.probe
+        offset, _ = self._shards[shard_id]
+        rounds = self._sessions[(session_id, shard_id)]
         started = time.perf_counter()
-        counter = session.counter
-        m = session.qids.shape[1]
-        A = active.size
-        bounds = _chunk_bounds(m, 1 if probe is None else probe["chunks"])
-        last = len(bounds) - 2
-        order = (probe_order(probe["uids"][active], session.qids[active],
-                             radius) if last else None)
-
-        scanned = np.zeros(A, dtype=np.int64)
-        io_pages = np.zeros(A, dtype=np.int64)
-        probes_issued = np.zeros(A, dtype=np.int64)
-        probes_skipped = np.zeros(A, dtype=np.int64)
-        new_count = np.zeros(A, dtype=np.int64)
-        parts = [[] for _ in range(A)]
-        round_pos = np.arange(A)
-        for ci in range(last + 1):
-            if round_pos.size == 0:
-                break
-            lo_t, hi_t = int(bounds[ci]), int(bounds[ci + 1])
-            sub = active[round_pos]
-            tables = None  # whole round: the classic expansion
-            if order is not None:
-                tables = np.zeros((sub.size, m), dtype=bool)
-                np.put_along_axis(tables, order[round_pos, lo_t:hi_t],
-                                  True, axis=1)
-            chunk_scanned, chunk_pages = counter.expand(radius, sub,
-                                                        tables=tables)
-            scanned[round_pos] += chunk_scanned
-            if chunk_pages is not None:
-                io_pages[round_pos] += chunk_pages
-            probes_issued[round_pos] += hi_t - lo_t
-
-            qpos_c, fresh = counter.crossings(self.config.l)
-            if fresh.size:
-                qb = np.searchsorted(qpos_c, np.arange(sub.size + 1))
-                for i in range(sub.size):
-                    s, e = int(qb[i]), int(qb[i + 1])
-                    if e <= s:
-                        continue
-                    ids = fresh[s:e]
-                    vecs, io = self._read(shard, ids)
-                    pos = int(round_pos[i])
-                    io_pages[pos] += io
-                    parts[pos].append((
-                        ids,
-                        shard.family.distance(vecs,
-                                              session.queries[sub[i]]),
-                    ))
-                    session.is_candidate[sub[i], ids] = True
-                    new_count[pos] += ids.size
-
-            if ci < last:
-                fired = new_count[round_pos] >= need["t2"][round_pos]
-                if np.any(fired):
-                    probes_skipped[round_pos[fired]] += m - hi_t
-                    round_pos = round_pos[~fired]
-
-        qpos_parts, ids_parts, dists_parts = [], [], []
-        for pos in range(A):
-            for ids, dists in parts[pos]:
-                qpos_parts.append(np.full(ids.size, pos, dtype=np.int64))
-                ids_parts.append(ids)
-                dists_parts.append(dists)
-        qpos = (np.concatenate(qpos_parts) if qpos_parts
-                else np.empty(0, dtype=np.int64))
-        ids = (np.concatenate(ids_parts) if ids_parts
-               else np.empty(0, dtype=np.int64))
-        dists = (np.concatenate(dists_parts) if dists_parts
-                 else np.empty(0, dtype=np.float64))
-        adaptive = probe is not None
-        return RoundPayload(
-            shard_id=shard_id,
-            qpos=qpos,
-            ids=ids + shard.offset,
-            dists=dists,
-            scanned=scanned,
-            io_pages=io_pages,
-            exhausted=counter.exhausted_mask(active),
-            seconds=time.perf_counter() - started,
-            probes_issued=probes_issued if adaptive else None,
-            probes_skipped=probes_skipped if adaptive else None,
-        )
+        seen = _ShardRound(rounds.queries.shape[0], active, need)
+        rounds.run_round(seen, active, radius, level=None)
+        return seen.payload(shard_id, offset, active,
+                            rounds.counter.exhausted_mask(active),
+                            time.perf_counter() - started,
+                            probing=rounds.uids is not None)
 
     def _note_round(self, shard_id, payload):
         """Fold one round's numbers into the host-local registry."""
@@ -536,24 +466,23 @@ class ShardHost:
 
         ``requests`` maps query index → how many fallback candidates the
         coordinator may still take. Each shard returns its top slice under
-        the unsharded fallback order — collision count descending, global
-        id ascending — so the coordinator's k-way merge reproduces
-        ``argsort(-counts, kind="stable")`` over the whole database.
+        the unsharded fallback order
+        (:meth:`~repro.core.batchengine.LocalRounds.best_unverified`) with
+        the objects' collision counts, so the coordinator's k-way merge
+        reproduces ``argsort(-counts, kind="stable")`` over the whole
+        database.
         """
         self._chaos_step("fallback_candidates")
         out = {}
         for shard_id in sorted(self._shards):
-            shard = self._shards[shard_id]
-            session = self._sessions[(session_id, shard_id)]
+            offset, _ = self._shards[shard_id]
+            rounds = self._sessions[(session_id, shard_id)]
             per_query = {}
             for q, need in requests.items():
-                remaining = np.flatnonzero(~session.is_candidate[q])
-                if remaining.size == 0:
-                    continue
-                counts = session.counter.counts[q, remaining]
-                order = np.argsort(-counts, kind="stable")[:int(need)]
-                per_query[q] = (remaining[order] + shard.offset,
-                                counts[order].astype(np.int64))
+                ids = rounds.best_unverified(q, int(need))
+                if ids.size:
+                    per_query[q] = (ids + offset, rounds.counter.counts[
+                        q, ids].astype(np.int64))
             out[shard_id] = per_query
         return out
 
@@ -595,15 +524,14 @@ class ShardHost:
 
     def _shard_fallback_verify(self, session_id, shard_id, per_query):
         """Verify one shard's fallback ids; ``{query: (dists, io)}``."""
-        shard = self._shards[shard_id]
-        session = self._sessions[(session_id, shard_id)]
-        answers = {}
-        for q, gids in per_query.items():
-            ids = np.asarray(gids, dtype=np.int64) - shard.offset
-            vecs, io = self._read(shard, ids)
-            answers[q] = (shard.family.distance(vecs,
-                                                session.queries[q]), io)
-        return answers
+        offset, index = self._shards[shard_id]
+        rounds = self._sessions[(session_id, shard_id)]
+        jobs = [(q, np.asarray(gids, dtype=np.int64) - offset,
+                 rounds.queries[q]) for q, gids in per_query.items()]
+        io = np.zeros(rounds.queries.shape[0], dtype=np.int64)
+        verified = _verify_many(index, jobs, io, None)
+        return {q: (dists, int(io[q]))
+                for (q, _, _), dists in zip(jobs, verified)}
 
     def batch_end(self, session_id):
         """Drop the session's per-shard state."""
@@ -631,8 +559,9 @@ class ShardHost:
 
     def io_totals(self):
         """Cumulative (reads, writes) per hosted shard."""
-        return {sid: shard.io_totals()
-                for sid, shard in self._shards.items()}
+        return {sid: (0, 0) if index._pm is None
+                else (index._pm.stats.reads, index._pm.stats.writes)
+                for sid, (_, index) in self._shards.items()}
 
     def close(self):
         """Drop all shard state and detach the shared-memory view."""
@@ -643,16 +572,6 @@ class ShardHost:
             self._shm.close()
             self._shm = None
         return True
-
-    @staticmethod
-    def _read(shard, ids):
-        """Data-file read returning (vectors, pages charged)."""
-        if shard.pm is None:
-            return shard.datafile.read(ids), 0
-        before = shard.pm.stats.reads
-        vecs = shard.datafile.read(ids)
-        return vecs, shard.pm.stats.reads - before
-
 
 # -- process-pool entry points (module-level for picklability) ---------------
 

@@ -3,14 +3,17 @@
 Classic probing runs through the same block driver as adaptive probing,
 as the ``AdaptiveConfig(chunks=1, start_estimate=False)`` schedule. These
 tests pin that preset as the oracle on the sharded engine — serial
-runner, process runner, and through a worker rebuild — check that the
-driver's EXPLAIN rows carry each round's own scanned entries, pages and
-probes, so that rows add up to the query's totals on every path, and
-check that the four batch paths keep their flight labels and probe
-accounting.
+runner, process runner, and through a worker rebuild — pin a one-shard
+engine's certified adaptive answers to the unsharded engine's, check
+that the driver's EXPLAIN rows carry each round's own scanned entries,
+pages and probes, so that rows add up to the query's totals on every
+path, and check that the four batch paths keep their flight labels and
+probe accounting.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -81,6 +84,41 @@ def test_sharded_exact_config_is_classic_through_rebuild(clustered):
         exact = eng.query_batch(queries, k=4, probe=EXACT)
         assert eng.metrics.snapshot().get("shard.failover.rebuilds") == 1
     _assert_same(classic, exact)
+
+
+def _assert_one_shard_is_local(clustered, n_workers, chunks):
+    """A shard's round is the local round: one certified shard answers
+    like the unsharded engine, stat for stat."""
+    data, queries = clustered
+    # Far-off copies make the estimator skip start levels.
+    queries = np.vstack([queries, queries + 40.0])
+    config = AdaptiveConfig(chunks=chunks, provisional_exit=False)
+    local = C2LSH(seed=3, page_manager=PageManager()).fit(data).query_batch(
+        queries, k=4, n_jobs=1, probe=config)
+    with ShardedC2LSH(n_shards=1, n_workers=n_workers, seed=3,
+                      page_accounting=True).fit(data) as eng:
+        sharded = eng.query_batch(queries, k=4, probe=config)
+    assert any(r.stats.probes_skipped for r in local)
+    assert any(r.stats.terminated_by == "T2" for r in local)
+    for i, (a, b) in enumerate(zip(local, sharded, strict=True)):
+        np.testing.assert_array_equal(a.ids, b.ids, err_msg=f"query {i}")
+        np.testing.assert_array_equal(a.distances, b.distances,
+                                      err_msg=f"query {i}")
+        sa, sb = dataclasses.asdict(a.stats), dataclasses.asdict(b.stats)
+        sa.pop("elapsed_s")
+        sb.pop("elapsed_s")
+        assert sa == sb, f"query {i}"
+
+
+@pytest.mark.parametrize("chunks", [16, 4])
+def test_one_shard_adaptive_is_local_adaptive_serial(clustered, chunks):
+    _assert_one_shard_is_local(clustered, 0, chunks)
+
+
+@pytest.mark.shard
+@pytest.mark.parametrize("chunks", [16, 4])
+def test_one_shard_adaptive_is_local_adaptive_process(clustered, chunks):
+    _assert_one_shard_is_local(clustered, 1, chunks)
 
 
 @pytest.mark.parametrize("probe", [None, EXACT, "adaptive"],

@@ -350,6 +350,26 @@ class TestDurableIndex:
         assert idx.metrics.snapshot()["durability.wal_appends"] == appends
         idx.close()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_insert_is_not_logged(self, tmp_path, bad):
+        """A logged NaN row would fail every later rebuild, and so every
+        reopen, because recovery replays it."""
+        rows = np.random.default_rng(4).standard_normal((70, DIM))
+        idx = make_index(tmp_path / "idx", min_index_size=50)
+        idx.insert(rows[:10])
+        seqno = idx._wal.next_seqno
+        poisoned = rows[10].copy()
+        poisoned[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            idx.insert(poisoned)
+        assert len(idx) == 10
+        assert idx._wal.next_seqno == seqno
+        idx.insert(rows[10:])  # past min_index_size: rebuilds
+        idx.close()
+        reopened = make_index(tmp_path / "idx", min_index_size=50)
+        assert len(reopened) == 70
+        reopened.close()
+
     def test_recovery_metrics_recorded(self, tmp_path):
         idx = make_index(tmp_path / "idx")
         idx.insert(np.random.default_rng(9).standard_normal((10, DIM)))

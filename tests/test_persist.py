@@ -5,6 +5,7 @@ import pytest
 
 from repro import C2LSH, PageManager
 from repro.core import load_c2lsh, save_c2lsh
+from repro.core.persist import _save_index
 from repro.hashing import SignRandomProjectionFamily
 
 
@@ -39,6 +40,36 @@ class TestPersistence:
         loaded = load_c2lsh(path, page_manager=pm)
         assert pm.stats.writes > 0
         assert loaded.query(queries[0], k=2).stats.io_reads > 0
+
+    @pytest.mark.parametrize("layout", ["id", "zorder"])
+    def test_roundtrip_keeps_data_layout(self, tmp_path, layout):
+        """A reloaded index charges the data-read pages the saved one
+        did."""
+        rng = np.random.default_rng(0)
+        data = rng.standard_normal((3000, 16))
+        queries = rng.standard_normal((8, 16))
+        index = C2LSH(seed=0, page_manager=PageManager(),
+                      data_layout=layout).fit(data)
+        before = [index.query(q, k=5).stats.io_reads for q in queries]
+        path = save_c2lsh(index, tmp_path / "index.npz")
+        loaded = load_c2lsh(path, page_manager=PageManager())
+        assert [loaded.query(q, k=5).stats.io_reads
+                for q in queries] == before
+
+    def test_file_without_layout_loads_scattered(self, tiny, tmp_path):
+        """Files saved before the layout was recorded hold the default
+        data file."""
+        data, queries = tiny
+        index = C2LSH(seed=0, page_manager=PageManager()).fit(data)
+        path = save_c2lsh(index, tmp_path / "index.npz")
+        with np.load(path) as blob:
+            arrays = {name: blob[name] for name in blob.files
+                      if name not in ("data_layout", "format_version",
+                                      "kind", "__manifest__")}
+        _save_index(path, "c2lsh", arrays)
+        loaded = load_c2lsh(path, page_manager=PageManager())
+        assert [loaded.query(q, k=3).stats.io_reads for q in queries] == \
+            [index.query(q, k=3).stats.io_reads for q in queries]
 
     def test_unfitted_index_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -116,6 +116,14 @@ class TestQuery:
         with pytest.raises(RuntimeError):
             make_index().query(np.zeros(4))
 
+    def test_non_finite_query_rejected_while_buffered(self, rng):
+        index = make_index()
+        index.insert(rng.standard_normal((50, 4)))  # all still buffered
+        query = np.zeros(4)
+        query[1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            index.query(query, k=3)
+
     def test_unknown_handle_rejected(self, rng):
         index = make_index()
         index.insert(rng.standard_normal((5, 4)))
