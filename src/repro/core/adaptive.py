@@ -89,41 +89,17 @@ class AdaptiveConfig:
         ``l`` tables are probed" scan floor. Distances in the result are
         always exactly verified; only the *selection* of which objects
         to verify is predictive, so recall can dip slightly below an
-        exit at certified counts (see BENCH_adaptive.json for measured
-        frontiers). Queries that exit this way report
+        exit at certified counts. Queries that exit this way report
         ``terminated_by == "T2-early"``.
-    provisional_min_frac:
-        Minimum fraction of the round's tables that must be probed
-        before a provisional exit is considered (default 0.5). Lower
-        values exit earlier on noisier projections.
-    provisional_pool_mult:
-        On a provisional exit, verify ``min(mult * target, projected)``
-        best-counted objects instead of the bare T2 target (default 4).
-        Partial counts are heavily tied, so the bare target can drop
-        true neighbors from the pool; verification costs one page per
-        object — far cheaper than probing more tables — so a wider
-        verified pool buys recall back at small I/O cost.
     """
 
     chunks: int = 16
     start_estimate: bool = True
     provisional_exit: bool = True
-    provisional_min_frac: float = 0.5
-    provisional_pool_mult: float = 4.0
 
     def __post_init__(self):
         if int(self.chunks) < 1:
             raise ValueError(f"chunks must be >= 1, got {self.chunks}")
-        if not 0.0 < float(self.provisional_min_frac) <= 1.0:
-            raise ValueError(
-                f"provisional_min_frac must lie in (0, 1], got "
-                f"{self.provisional_min_frac}"
-            )
-        if float(self.provisional_pool_mult) < 1.0:
-            raise ValueError(
-                f"provisional_pool_mult must be >= 1, got "
-                f"{self.provisional_pool_mult}"
-            )
 
 
 #: Classic C2LSH as a schedule: every round scans all ``m`` tables in one

@@ -626,6 +626,18 @@ def drive_block(state, source, levels):
             active = active[keep[active]]
 
 
+#: A provisional exit is considered only once this fraction of a round's
+#: tables has been probed; earlier exits rest on noisier projections.
+_PROVISIONAL_MIN_FRAC = 0.5
+
+#: A provisional exit verifies up to this many times the T2 target of
+#: best-counted objects. Partial counts are heavily tied, so the bare
+#: target can drop true neighbors from the pool; verification costs one
+#: page per object — far cheaper than probing more tables — so a wider
+#: verified pool buys recall back at small I/O cost.
+_PROVISIONAL_POOL_MULT = 4.0
+
+
 class LocalRounds:
     """Round source over an in-process index: chunked expand, then verify.
 
@@ -711,7 +723,7 @@ class LocalRounds:
             else:
                 fired = state.stop(sub, radius)
                 if (self.config.provisional_exit
-                        and hi_t >= self.config.provisional_min_frac * m):
+                        and hi_t >= _PROVISIONAL_MIN_FRAC * m):
                     fired = fired | self._provisional_exits(
                         state, sub, fired, hi_t)
                 if fired.any():
@@ -752,10 +764,10 @@ class LocalRounds:
         descending, stable) and stops the query. Returns the mask over
         ``sub``; exits report ``terminated_by == "T2-early"``.
         """
-        params, config = self.index.params, self.config
+        params = self.index.params
         counts = self.counter.counts
         l_p = max(1, int(np.ceil(params.l * probed / params.m)))
-        pool_size = int(config.provisional_pool_mult * state.target)
+        pool_size = int(_PROVISIONAL_POOL_MULT * state.target)
         provisional = np.zeros(sub.size, dtype=bool)
         jobs = []
         for i in np.flatnonzero(~fired):

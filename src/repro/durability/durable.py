@@ -70,7 +70,7 @@ class DurableUpdatableC2LSH:
     fsync:
         Fsync the WAL after every record (default). ``False`` trades
         power-loss durability for update throughput (records still
-        survive process crashes); see ``benchmarks/bench_updates.py``.
+        survive process crashes).
     auto_checkpoint:
         Checkpoint automatically after this many logged mutations
         (``None`` — the default — leaves checkpointing manual).
@@ -152,13 +152,17 @@ class DurableUpdatableC2LSH:
                             fault_injector=self.fault_injector,
                             metrics=self.metrics)
         replayed = 0
-        for record in wal.last_scan.records:
-            if record.seqno <= applied_seqno:
-                continue
-            if self.fault_injector is not None:
-                self.fault_injector.guard("wal_replay")
-            self._apply(inner, record)
-            replayed += 1
+        try:
+            for record in wal.last_scan.records:
+                if record.seqno <= applied_seqno:
+                    continue
+                if self.fault_injector is not None:
+                    self.fault_injector.guard("wal_replay")
+                self._apply(inner, record)
+                replayed += 1
+        except BaseException:
+            wal.close()  # a failed open owns nothing; release the log
+            raise
         self._inner = inner
         self._wal = wal
         self.recovered_records = replayed
@@ -167,33 +171,31 @@ class DurableUpdatableC2LSH:
             time.perf_counter() - started)
 
     def _apply(self, inner, record):
-        """Replay one WAL record through the ordinary update paths."""
+        """Replay one WAL record through the ordinary update paths.
+
+        A record that does not decode, or that the index rejects (say, a
+        non-finite row logged before inserts were validated), raises
+        :class:`~repro.reliability.CorruptIndexError` naming the record.
+        """
         from ..reliability.errors import CorruptIndexError
         from .wal import decode_delete, decode_insert
 
-        if record.rectype == INSERT:
-            try:
+        try:
+            if record.rectype == INSERT:
                 start, rows = decode_insert(record.body)
-            except ValueError as exc:
-                raise CorruptIndexError(
-                    self.wal_path, f"wal_record_{record.seqno}", str(exc)
-                ) from exc
-            if start != inner._next_id:
-                raise CorruptIndexError(
-                    self.wal_path, f"wal_record_{record.seqno}",
-                    f"insert starts at handle {start} but the index "
-                    f"expects {inner._next_id}",
-                )
-            inner.insert(rows)
-        elif record.rectype == DELETE:
-            try:
-                handles = decode_delete(record.body)
-            except ValueError as exc:
-                raise CorruptIndexError(
-                    self.wal_path, f"wal_record_{record.seqno}", str(exc)
-                ) from exc
-            inner.delete(handles)
-        # Checkpoint markers carry no state mutation.
+                if start != inner._next_id:
+                    raise ValueError(
+                        f"insert starts at handle {start} but the index "
+                        f"expects {inner._next_id}"
+                    )
+                inner.insert(rows)
+            elif record.rectype == DELETE:
+                inner.delete(decode_delete(record.body))
+            # Checkpoint markers carry no state mutation.
+        except ValueError as exc:
+            raise CorruptIndexError(
+                self.wal_path, f"wal_record_{record.seqno}", str(exc)
+            ) from exc
 
     # -- updates -------------------------------------------------------------
 

@@ -222,7 +222,7 @@ class WriteAheadLog:
         Whether :meth:`append` fsyncs after every record (default). With
         ``False`` records are flushed to the OS but survive only process
         crashes, not power loss — the classical durability/throughput
-        trade, measured in ``benchmarks/bench_updates.py``.
+        trade.
     fault_injector:
         Optional :class:`repro.reliability.FaultInjector` consulted at
         sites ``"wal_append"`` and ``"wal_fsync"`` (see module docstring).

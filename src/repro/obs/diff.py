@@ -1,16 +1,16 @@
 """``python -m repro.obs diff``: a tolerance-gated metrics comparator.
 
 Compares two metrics artifacts — harness ``{stem}_metrics.json`` files,
-``BENCH_*.json`` benchmark records, flight-recorder dumps, anything made
-of nested dicts/lists with numeric leaves — and exits nonzero when a
-watched metric regressed beyond tolerance. That exit code is the CI perf
+telemetry snapshots, flight-recorder dumps, anything made of nested
+dicts/lists with numeric leaves — and exits nonzero when a watched
+metric regressed beyond tolerance. That exit code is the CI perf
 gate: check a baseline in, diff fresh runs against it, and a hot path
 that quietly got slower fails the build instead of the next release.
 
 ::
 
-    python -m repro.obs diff BENCH_batch.json fresh.json \\
-        --tolerance 0.25 --watch "*seconds*" --watch "*io*pages*"
+    python -m repro.obs diff metrics.json fresh.json \\
+        --tolerance 0.25 --watch "*total_s*" --watch "io.read.pages"
 
 Regression direction is configurable: ``--direction up`` (default) flags
 increases — right for costs like seconds, pages, candidates; ``down``

@@ -1,8 +1,8 @@
 """Run provenance: who/where/what produced a metrics or benchmark file.
 
-Every artifact this repository writes for later comparison —
-``BENCH_*.json``, the harness's ``{stem}_metrics.json``, flight-recorder
-dumps — carries the same stamp so ``python -m repro.obs diff`` can tell
+Every artifact this repository writes for later comparison — perfbench
+reports, the harness's ``{stem}_metrics.json``, flight-recorder dumps —
+carries the same stamp so ``python -m repro.obs diff`` can tell
 whether two files are comparable at all (same host? same library
 versions? same commit?) before arguing about their numbers.
 """

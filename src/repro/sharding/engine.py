@@ -281,10 +281,8 @@ class ShardedC2LSH:
         Give every shard its own :class:`repro.storage.PageManager`;
         per-query ``QueryStats.io_reads`` then reports the *sum* of pages
         charged across shards.
-    page_size, page_latency_s:
-        Forwarded to the per-shard page managers; ``page_latency_s``
-        simulates a paged storage device (see
-        :class:`repro.storage.PageManager`).
+    page_size:
+        Forwarded to the per-shard page managers.
     fault_plan, fault_seed:
         Optional :class:`repro.reliability.FaultPlan` (or its dict form)
         installed on every shard's page manager, seeded per shard as
@@ -317,8 +315,7 @@ class ShardedC2LSH:
                  beta=None, delta=0.01, alpha=None, m=None, seed=None,
                  rng=None, base_radius="auto", data_layout="scattered",
                  use_t1=True, page_accounting=False,
-                 page_size=DEFAULT_PAGE_SIZE, page_latency_s=0.0,
-                 fault_plan=None, fault_seed=0,
+                 page_size=DEFAULT_PAGE_SIZE, fault_plan=None, fault_seed=0,
                  on_worker_failure="rebuild", failover=None, metrics=None):
         if int(n_shards) < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -337,7 +334,6 @@ class ShardedC2LSH:
         self._use_t1 = bool(use_t1)
         self._page_accounting = bool(page_accounting)
         self._page_size = int(page_size)
-        self._page_latency_s = float(page_latency_s)
         if fault_plan is not None and isinstance(fault_plan, FaultPlan):
             fault_plan = fault_plan.to_dict()
         self._fault_plan = fault_plan
@@ -413,7 +409,6 @@ class ShardedC2LSH:
                 params=params, data_layout=self._data_layout,
                 page_accounting=self._page_accounting,
                 page_size=self._page_size,
-                page_latency_s=self._page_latency_s,
                 fault_plan=self._fault_plan, fault_seed=self._fault_seed,
             )
             if serial:

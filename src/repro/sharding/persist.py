@@ -47,33 +47,30 @@ def save_sharded(engine, path):
         "use_t1": engine._use_t1,
         "page_accounting": engine._page_accounting,
         "page_size": engine._page_size,
-        "page_latency_s": engine._page_latency_s,
         "fault_seed": engine._fault_seed,
     })
 
 
-def load_sharded(path, n_workers=None, *, page_latency_s=None,
-                 fault_plan=None, on_worker_failure="rebuild",
-                 failover=None, metrics=None):
+def load_sharded(path, n_workers=None, *, fault_plan=None,
+                 on_worker_failure="rebuild", failover=None, metrics=None):
     """Restore an engine written by :func:`save_sharded`.
 
     Every array is verified against its recorded CRC32/dtype/shape;
     damage raises :class:`~repro.reliability.CorruptIndexError` naming
     the bad section. The shard layout is restored exactly as saved;
     ``n_workers`` (default: auto width) chooses how the restored shards
-    are spread over processes. ``page_latency_s`` and ``fault_plan``
-    override/attach the runtime-only storage behaviors;
-    ``on_worker_failure``/``failover`` select the restored deployment's
-    failover policy (like worker width, a deployment property — not
-    persisted); ``metrics`` supplies the registry for the restored
-    engine's ``shard.*`` metrics.
+    are spread over processes. ``fault_plan`` attaches runtime-only
+    fault injection; ``on_worker_failure``/``failover`` select the
+    restored deployment's failover policy (like worker width, a
+    deployment property — not persisted); ``metrics`` supplies the
+    registry for the restored engine's ``shard.*`` metrics. Members the
+    loader does not read, such as retired fields in older files, are
+    ignored.
     """
     blob = load_arrays(path, _KIND)
     data, design, layout = _design_from(blob)
     _, _, params, scale = design
     shard_off = np.asarray(blob["shard_offsets"], dtype=np.int64)
-    if page_latency_s is None:
-        page_latency_s = float(blob["page_latency_s"])
 
     engine = ShardedC2LSH(
         n_shards=shard_off.size - 1,
@@ -84,7 +81,6 @@ def load_sharded(path, n_workers=None, *, page_latency_s=None,
         use_t1=bool(blob["use_t1"]),
         page_accounting=bool(blob["page_accounting"]),
         page_size=int(blob["page_size"]),
-        page_latency_s=page_latency_s,
         fault_plan=fault_plan,
         fault_seed=int(blob["fault_seed"]),
         on_worker_failure=on_worker_failure,

@@ -92,7 +92,6 @@ class HostConfig:
     data_layout: str = "scattered"
     page_accounting: bool = False
     page_size: int = 4096
-    page_latency_s: float = 0.0
     fault_plan: object = None
     fault_seed: int = 0
     worker_index: int = 0
@@ -318,7 +317,6 @@ class ShardHost:
                 seed=config.fault_seed + spec.shard_id,
             )
         return PageManager(page_size=config.page_size,
-                           page_latency_s=config.page_latency_s,
                            fault_injector=injector)
 
     # -- batch session protocol ---------------------------------------------

@@ -20,7 +20,6 @@ are exact for the modeled layout.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,28 +62,12 @@ class PageManager:
     fire exactly where the modeled I/O happens. Charges are counted only
     for operations that (eventually) succeed; retries are recorded in
     the injector's metrics registry, not in :attr:`stats`.
-
-    ``page_latency_s`` turns the accounting model into a *timing* model:
-    every charged page blocks the charging thread for that many seconds,
-    simulating the device the paper's cost model assumes (data on paged
-    storage rather than RAM). The charge is per page, so a round that
-    scans 50 pages stalls 50x longer than one scanning a single page —
-    which is exactly the property that makes page counts the right
-    efficiency metric. Because the stall happens in whichever *process*
-    charges the I/O, shards on separate workers overlap their device
-    waits; this is what sharded wall-clock benchmarks measure.
     """
 
-    def __init__(self, page_size=DEFAULT_PAGE_SIZE, fault_injector=None,
-                 page_latency_s=0.0):
+    def __init__(self, page_size=DEFAULT_PAGE_SIZE, fault_injector=None):
         if page_size < 16:
             raise ValueError(f"page size unreasonably small: {page_size}")
-        if page_latency_s < 0:
-            raise ValueError(
-                f"page latency must be non-negative, got {page_latency_s}"
-            )
         self.page_size = int(page_size)
-        self.page_latency_s = float(page_latency_s)
         self.stats = IOStats()
         self.fault_injector = fault_injector
 
@@ -113,8 +96,6 @@ class PageManager:
             raise ValueError("cannot charge a negative number of page reads")
         if self.fault_injector is not None:
             self.fault_injector.guard(site or "unattributed")
-        if self.page_latency_s and pages:
-            time.sleep(int(pages) * self.page_latency_s)
         self.stats.reads += int(pages)
         trace = _trace.current()
         if trace is not None:
@@ -126,8 +107,6 @@ class PageManager:
             raise ValueError("cannot charge a negative number of page writes")
         if self.fault_injector is not None:
             self.fault_injector.guard(site or "unattributed")
-        if self.page_latency_s and pages:
-            time.sleep(int(pages) * self.page_latency_s)
         self.stats.writes += int(pages)
         trace = _trace.current()
         if trace is not None:

@@ -370,6 +370,20 @@ class TestDurableIndex:
         assert len(reopened) == 70
         reopened.close()
 
+    def test_replay_names_a_rejected_insert(self, tmp_path):
+        """A log written before inserts were validated may hold a NaN
+        row; reopening names that record instead of a bare ValueError."""
+        rows = np.random.default_rng(4).standard_normal((11, DIM))
+        rows[10, 3] = np.nan
+        (tmp_path / "idx").mkdir()
+        with WriteAheadLog(tmp_path / "idx" / "wal.log") as wal:
+            wal.append(INSERT, encode_insert(0, rows[:10]))
+            wal.append(INSERT, encode_insert(10, rows[10:]))
+        with pytest.raises(CorruptIndexError) as info:
+            make_index(tmp_path / "idx")
+        assert info.value.section == "wal_record_1"
+        assert "non-finite" in info.value.detail
+
     def test_recovery_metrics_recorded(self, tmp_path):
         idx = make_index(tmp_path / "idx")
         idx.insert(np.random.default_rng(9).standard_normal((10, DIM)))

@@ -37,6 +37,7 @@ from repro import C2LSH, QueryBudget, QueryClient, QueryServer, ServerConfig
 from repro.obs import MetricsRegistry, ObsServer
 from repro.reliability.budget import BudgetTracker, as_budget_list, tripped_cap
 from repro.serving import (
+    SHED_REASONS,
     AdmissionController,
     CoalesceTuner,
     PendingQuery,
@@ -439,6 +440,41 @@ def test_server_sheds_overloaded_and_stays_exact(index, tiny):
     assert snap["serving.shed.overloaded"] == len(
         [r for r in shed if r["reason"] == "overloaded"])
     assert not server.readiness()["ready"]  # overload hysteresis
+
+
+def test_server_answers_every_admitted_request_inside_its_deadline(
+        index, tiny):
+    """A burst of 40 requests against 40 q/s of capacity with 250 ms
+    deadlines, so about a quarter can be answered in time: the rest are
+    shed explicitly, and every admitted answer is exact and arrives
+    within 1.5x the deadline of the burst's first send (queue wait
+    counts against the deadline)."""
+    data, queries = tiny
+    deadline_s = 0.25
+    slow = _SlowIndex(index, delay_s=0.05)   # 2 queries per 50 ms batch
+    with _serve(slow, max_batch=2, max_window_s=0.0,
+                queue_capacity=64) as server:
+        with QueryClient("127.0.0.1", server.port) as client:
+            started = time.perf_counter()
+            sent = {}
+            for i in range(40):
+                q = queries[i % len(queries)]
+                sent[client.send(q, k=2, deadline_s=deadline_s)] = q
+            arrived = []
+            for _ in sent:
+                resp = client.recv()
+                arrived.append((time.perf_counter() - started, resp))
+    assert sorted(resp["id"] for _, resp in arrived) == sorted(sent)
+    shed = [resp for _, resp in arrived if resp["status"] == "shed"]
+    assert shed, "a burst four times what its deadlines allow must shed"
+    assert {resp["reason"] for resp in shed} <= set(SHED_REASONS)
+    for latency_s, resp in arrived:
+        if resp["status"] == "shed":
+            continue
+        assert resp["status"] == "ok"
+        assert latency_s <= 1.5 * deadline_s
+        direct = index.query(sent[resp["id"]], k=2)
+        assert resp["ids"] == [int(j) for j in direct.ids]
 
 
 def test_readiness_flows_through_obs_healthz(index):

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import C2LSH, PageManager, ShardedC2LSH
+from repro.core.persist import load_arrays, save_arrays
 from repro.obs import MetricsRegistry
 from repro.reliability import CorruptIndexError, QueryBudget
 from repro.sharding import (
@@ -226,18 +227,6 @@ def test_engine_validates_arguments(tiny):
         eng.query(queries[0])
 
 
-def test_page_latency_validation():
-    with pytest.raises(ValueError, match="latency"):
-        PageManager(page_latency_s=-0.1)
-    pm = PageManager(page_latency_s=0.002)
-    import time
-
-    start = time.perf_counter()
-    pm.charge_read(10)
-    assert time.perf_counter() - start >= 0.015
-    assert pm.stats.reads == 10
-
-
 # -- persistence -------------------------------------------------------------
 
 
@@ -251,6 +240,20 @@ def test_save_load_round_trip(tiny, tmp_path):
     with load_sharded(path, n_workers=0) as restored:
         assert restored.shard_boundaries == boundaries
         assert restored.n_shards == 3
+        _assert_same_results(expected, restored.query_batch(queries, k=5))
+
+
+def test_load_ignores_retired_page_latency_field(tiny, tmp_path):
+    """Files saved while engines could simulate a per-page device latency
+    hold a ``page_latency_s`` member; loading ignores it."""
+    data, queries = tiny
+    with ShardedC2LSH(n_shards=3, n_workers=0, seed=13,
+                      page_accounting=True).fit(data) as eng:
+        expected = eng.query_batch(queries, k=5)
+        path = eng.save(tmp_path / "sharded")
+    blob = load_arrays(path, "sharded-c2lsh")
+    save_arrays(path, "sharded-c2lsh", {**blob, "page_latency_s": 1e-6})
+    with load_sharded(path, n_workers=0) as restored:
         _assert_same_results(expected, restored.query_batch(queries, k=5))
 
 
