@@ -57,9 +57,8 @@ from .counting import MAX_ROUNDS
 
 __all__ = ["AdaptiveConfig", "CLASSIC", "as_probe_config",
            "check_adaptive_supported", "collide_levels",
-           "estimate_start_levels", "occupancy_start_levels",
-           "occupancy_table", "merge_start_levels", "probe_order",
-           "saturation_level"]
+           "estimate_start_levels", "start_payload", "occupancy_table",
+           "merge_start_levels", "probe_order", "saturation_level"]
 
 
 @dataclass(frozen=True)
@@ -207,38 +206,6 @@ def collide_levels(counter, qids, c):
     return levels
 
 
-def occupancy_start_levels(counter, qids, need, c):
-    """Smallest level where the query's total bucket occupancy is ``need``.
-
-    ``S_t(q)`` — the summed sizes of the query's level-``t`` buckets over
-    all ``m`` tables — bounds the candidate pool: every object that ever
-    crossed the collision threshold ``l`` by level ``t`` contributes at
-    least ``l`` entries to ``S_t``, so ``pool_t <= S_t / l``. Passing
-    ``need = l * k`` therefore yields the first level at which *any*
-    termination rule could fire (T1 and T2 both require at least ``k``
-    candidates); below it a round can only burn pages. Occupancies come
-    from two binary searches per table per level on the in-memory sorted
-    id arrays — no pages are charged, matching the classic path's
-    uncharged searchsorted descent. Queries whose occupancy never reaches
-    ``need`` start at the saturation level, where classic would also
-    arrive (exhausted) with the identical pool.
-    """
-    qids = np.asarray(qids, dtype=np.int64)
-    max_level = saturation_level(counter.id_span, c)
-    levels = np.full(qids.shape[0], max_level, dtype=np.int64)
-    unresolved = np.arange(qids.shape[0])
-    radius = 1
-    for level in range(max_level):
-        lo, hi = _intervals_at(counter, qids[unresolved], radius)
-        hit = (hi - lo).sum(axis=1) >= need
-        levels[unresolved[hit]] = level
-        unresolved = unresolved[~hit]
-        if not unresolved.size:
-            break
-        radius *= c
-    return levels
-
-
 def estimate_start_levels(counter, qids, l, c, k=1):
     """Per-query start level: first level where termination is possible.
 
@@ -249,21 +216,37 @@ def estimate_start_levels(counter, qids, l, c, k=1):
       (:func:`collide_levels`): below it fewer than ``l`` tables have a
       non-empty query bucket, so no object can reach collision count
       ``l``;
-    * the *occupancy level* (:func:`occupancy_start_levels` with
-      ``need = l * k``): below it the total bucket occupancy cannot hold
-      even ``k`` threshold-crossers.
+    * the *occupancy level*: the first level whose total bucket
+      occupancy ``S_t(q)`` (:func:`occupancy_table`) reaches ``l * k``.
+      Every object that crossed the collision threshold ``l`` by level
+      ``t`` contributes at least ``l`` entries to ``S_t``, so below it
+      the buckets cannot hold even ``k`` threshold-crossers (T1 and T2
+      both need ``k`` candidates). Queries whose occupancy never reaches
+      ``l * k`` start at the saturation level, where classic would also
+      arrive (exhausted) with the identical pool.
 
     Rounds below the start level are provably outcome-free, and by
     interval nesting the counts at the jumped-to level equal the
-    incrementally accumulated ones — skipping is answer-preserving.
+    incrementally accumulated ones — skipping is answer-preserving. The
+    rule is :func:`merge_start_levels` over the whole index as one
+    partition, so the sharded engine's merged estimate matches it
+    decision for decision.
     """
-    levels = collide_levels(counter, qids, c)
-    if l <= 1:
-        table_levels = levels.min(axis=1)
-    else:
-        table_levels = np.partition(levels, l - 1, axis=1)[:, l - 1]
-    return np.maximum(table_levels,
-                      occupancy_start_levels(counter, qids, l * k, c))
+    return merge_start_levels([start_payload(counter, qids, c)], l, l * k)
+
+
+def start_payload(counter, qids, c):
+    """One row partition's radius-start statistics for ``qids``.
+
+    ``{"collide": (Q, m) collide levels, "occ": (Q, L) occupancy table,
+    "total": occupancy at saturation}`` — what
+    :func:`merge_start_levels` combines. Reads only the in-memory sorted
+    id arrays; no pages are charged, matching the classic path's
+    uncharged searchsorted descent.
+    """
+    return {"collide": collide_levels(counter, qids, c),
+            "occ": occupancy_table(counter, qids, c),
+            "total": counter.m * counter.n}
 
 
 def occupancy_table(counter, qids, c):
@@ -288,17 +271,17 @@ def occupancy_table(counter, qids, c):
 
 
 def merge_start_levels(payloads, l, need):
-    """Global start levels from per-shard estimate payloads.
+    """Start levels from the :func:`start_payload` of each row partition.
 
-    Each payload (one shard's entry in a worker's ``batch_estimate``
-    answer) carries ``collide`` — the shard's ``(Q, m)`` collide levels —
-    plus ``occ``, its :func:`occupancy_table`, and ``total``, its
-    occupancy at saturation. A global bucket is non-empty iff some
-    shard's restriction of it is, so the cross-shard elementwise minimum
+    The one copy of the start rule: :func:`estimate_start_levels` passes
+    the whole index as one partition, the sharded engine one payload per
+    shard. A global bucket is non-empty iff some partition's restriction
+    of it is, so the elementwise minimum of the ``collide`` levels
     reproduces the global collide levels; occupancies are additive, with
-    short ``occ`` rows padded by ``total`` (past its saturation a shard's
-    buckets cover all its entries). The combination rule then matches
-    :func:`estimate_start_levels` decision for decision.
+    short ``occ`` rows padded by ``total`` (past its saturation a
+    partition's buckets cover all its entries). A query starts at the
+    larger of its ``l``-th smallest collide level and its first level
+    whose occupancy reaches ``need``.
     """
     collide = np.minimum.reduce([p["collide"] for p in payloads])
     width = max(p["occ"].shape[1] for p in payloads)

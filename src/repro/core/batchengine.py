@@ -39,15 +39,15 @@ query (bucket scans are costed per segment by the shared
 query). Only the wall-clock changes: the per-round Python overhead is paid
 once per batch instead of once per query.
 
-The distance-verification stage — the other per-query hot loop — can
-optionally run on a thread pool (``n_jobs``); page charging stays on the
-calling thread so the :class:`~repro.storage.PageManager` never races.
+Verification runs on the calling thread, one query at a time: a query's
+candidate vectors are read, their pages charged to it and their distances
+computed before the next query's are read, so a round holds one query's
+candidate vectors, never the block's.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -318,33 +318,24 @@ class BatchQueryCounter:
                       axis=1)
 
 
-def _verify_many(index, jobs, io_reads, pool):
+def _verify_many(index, jobs, io_reads):
     """Distances for ``(query_index, ids, query_vector)`` jobs.
 
-    Data-file reads (and their page charges) run on the calling thread, in
-    job order, so the page manager never races; only the distance
-    computations fan out to ``pool`` when one is given. Without a pool
-    each job's distances are computed as soon as its vectors are read, so
+    One job at a time: read its vectors, add their pages to
+    ``io_reads[query_index]``, compute its distances, then move on — so
     only one job's vectors are held at a time. Returns one distance array
     per job.
     """
     pm = index._pm
-
-    def read(q, ids):
-        if pm is None:
-            return index._datafile.read(ids)
-        before = pm.stats.reads
-        vecs = index._datafile.read(ids)
-        io_reads[q] += pm.stats.reads - before
-        return vecs
-
     distance = index._family.distance
-    if pool is None:
-        return [distance(read(q, ids), qvec) for q, ids, qvec in jobs]
-    vectors = [read(q, ids) for q, ids, _ in jobs]
-    futures = [pool.submit(distance, vecs, qvec)
-               for vecs, (_, _, qvec) in zip(vectors, jobs)]
-    return [f.result() for f in futures]
+    out = []
+    for q, ids, qvec in jobs:
+        before = pm.stats.reads if pm is not None else 0
+        vecs = index._datafile.read(ids)
+        if pm is not None:
+            io_reads[q] += pm.stats.reads - before
+        out.append(distance(vecs, qvec))
+    return out
 
 
 class QueryState:
@@ -658,13 +649,12 @@ class LocalRounds:
 
     round_span = "round"
 
-    def __init__(self, index, queries, qids, uids, config, pool):
+    def __init__(self, index, queries, qids, uids, config):
         self.index = index
         self.queries = queries
         self.qids = qids
         self.uids = uids
         self.config = config
-        self.pool = pool
         self.counter = BatchQueryCounter(index._counter, qids)
         self.is_candidate = np.zeros(
             (queries.shape[0], index._data.shape[0]), dtype=bool)
@@ -747,8 +737,7 @@ class LocalRounds:
                  self.queries[sub[i]])
                 for i in range(sub.size) if bounds[i + 1] > bounds[i]]
         with trace.span("verify", count=int(fresh.size)):
-            verified = _verify_many(self.index, jobs, state.io_reads,
-                                    self.pool)
+            verified = _verify_many(self.index, jobs, state.io_reads)
         for (q, ids, _), dists in zip(jobs, verified):
             self.is_candidate[q, ids] = True
             state.add(q, ids, dists)
@@ -784,8 +773,7 @@ class LocalRounds:
         if jobs:
             with trace.span("verify", provisional=True,
                             count=int(sum(j[1].size for j in jobs))):
-                verified = _verify_many(self.index, jobs, state.io_reads,
-                                        self.pool)
+                verified = _verify_many(self.index, jobs, state.io_reads)
             for (q, extra, _), dists in zip(jobs, verified):
                 self.is_candidate[q, extra] = True
                 state.add(q, extra, dists, tally=False)
@@ -807,8 +795,7 @@ class LocalRounds:
             return
         with trace.span("verify", fallback=True,
                         count=int(sum(j[1].size for j in jobs))):
-            verified = _verify_many(self.index, jobs, state.io_reads,
-                                    self.pool)
+            verified = _verify_many(self.index, jobs, state.io_reads)
         for (q, extra, _), dists in zip(jobs, verified):
             state.add_fallback(q, extra, dists)
 
@@ -854,8 +841,8 @@ def _trace_skipped_starts(counter, qids, levels, c, m):
                      pages_saved=int(pages))
 
 
-def batch_query(index, queries, query_bucket_ids, k, n_jobs=None,
-                started=None, budget=None, config=None, uids=None):
+def batch_query(index, queries, query_bucket_ids, k, started=None,
+                budget=None, config=None, uids=None):
     """Answer ``Q`` queries in lockstep; returns a list of results.
 
     Drives one block of :class:`LocalRounds` through :func:`drive_block`,
@@ -863,9 +850,8 @@ def batch_query(index, queries, query_bucket_ids, k, n_jobs=None,
     fallback (see ``C2LSH._query_hashed``). ``config`` is an
     :class:`~repro.core.adaptive.AdaptiveConfig`, or ``None`` for
     classic; a chunked config needs ``uids``, the raw projections over
-    the bucket width (``floor(uids) == query_bucket_ids``). ``n_jobs >
-    1`` runs distance verification on a thread pool. ``started`` (a
-    ``time.perf_counter()`` value) lets the caller include work done
+    the bucket width (``floor(uids) == query_bucket_ids``). ``started``
+    (a ``time.perf_counter()`` value) lets the caller include work done
     before entry — e.g. batched hashing — in the per-query
     ``elapsed_s``; each query is stamped the moment it terminates, not
     when the whole batch returns.
@@ -896,15 +882,9 @@ def batch_query(index, queries, query_bucket_ids, k, n_jobs=None,
         probing=config is not None,
     )
     labels = {} if config is None else {"probe": "adaptive"}
-    pool = (ThreadPoolExecutor(max_workers=int(n_jobs))
-            if n_jobs is not None and int(n_jobs) > 1 else None)
-    try:
-        with trace.span("batch_block", queries=int(n_queries), k=int(k),
-                        **labels):
-            source = LocalRounds(index, queries, query_bucket_ids, uids,
-                                 config or CLASSIC, pool)
-            drive_block(state, source, source.start_levels(state))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    with trace.span("batch_block", queries=int(n_queries), k=int(k),
+                    **labels):
+        source = LocalRounds(index, queries, query_bucket_ids, uids,
+                             config or CLASSIC)
+        drive_block(state, source, source.start_levels(state))
     return state.results()

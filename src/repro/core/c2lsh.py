@@ -208,8 +208,8 @@ class C2LSH:
         config = as_probe_config(probe)
         query = as_query_vector(query, self._data.shape[1])
         if config is not None:
-            return self.query_batch(query[None, :], k=k, n_jobs=1,
-                                    budget=budget, probe=config)[0]
+            return self.query_batch(query[None, :], k=k, budget=budget,
+                                    probe=config)[0]
         started = time.perf_counter()
         with trace.span("query", k=int(k)) as qspan:
             with trace.span("hash"):
@@ -455,8 +455,7 @@ class C2LSH:
         """True distances for ``ids``, charging reads per the data layout."""
         return self._family.distance(self._datafile.read(ids), query)
 
-    def query_batch(self, queries, k=1, n_jobs=None, budget=None,
-                    probe=None):
+    def query_batch(self, queries, k=1, budget=None, probe=None):
         """Answer many queries; returns a list of :class:`QueryResult`.
 
         Queries run through the lockstep batch engine
@@ -464,26 +463,20 @@ class C2LSH:
         product, and every radius round advances all still-active queries
         with one batched binary search and one flat collision bincount.
         Results — ids, distances, stats, charged I/O — are identical to
-        looping :meth:`query`; only the throughput changes.
+        looping :meth:`query`; only the throughput changes. Candidate
+        distances are verified on the calling thread, one query's
+        candidates at a time.
 
-        ``n_jobs > 1`` verifies candidate distances on a thread pool (page
-        charging stays on the calling thread); ``n_jobs=None`` resolves
-        through :func:`repro.sharding.default_parallelism` — the
-        repository's single parallel-width policy, ``min(available cpus,
-        batch size)`` — so the thread count is no longer implicit.
-        ``n_jobs=1`` (or a single-CPU box) keeps verification on the
-        calling thread. ``budget`` applies a
-        :class:`repro.reliability.QueryBudget` to every query in the
-        batch individually, with the same graceful-degradation semantics
-        as :meth:`query`; a *sequence* of budgets (``None`` entries
-        unbudgeted) instead budgets each query separately — how the
-        serving front-end coalesces requests carrying different
-        per-client deadlines into one batch. With ``incremental=False``
-        (the A2 recount
-        ablation) the per-query sequential path is kept, so the
-        ablation's I/O pattern stays untouched. Batches larger than 1024
-        queries are processed in blocks to bound the engine's
-        ``(block, n)`` working matrices.
+        ``budget`` applies a :class:`repro.reliability.QueryBudget` to
+        every query in the batch individually, with the same
+        graceful-degradation semantics as :meth:`query`; a *sequence* of
+        budgets (``None`` entries unbudgeted) instead budgets each query
+        separately — how the serving front-end coalesces requests
+        carrying different per-client deadlines into one batch. With
+        ``incremental=False`` (the A2 recount ablation) the per-query
+        sequential path is kept, so the ablation's I/O pattern stays
+        untouched. Batches larger than 1024 queries are processed in
+        blocks to bound the engine's ``(block, n)`` working matrices.
 
         ``probe="adaptive"`` (or an :class:`repro.core.AdaptiveConfig`)
         runs the same block driver on the query-adaptive schedule
@@ -497,12 +490,6 @@ class C2LSH:
         queries = as_query_matrix(queries, self._data.shape[1])
         if config is not None:
             check_adaptive_supported(self._funcs, self._incremental)
-        if n_jobs is None and queries.shape[0] > 0:
-            # Lazy import: sharding.plan is a leaf module (os only), but
-            # importing it at module scope would tangle core <-> sharding.
-            from ..sharding.plan import default_parallelism
-
-            n_jobs = default_parallelism(limit=queries.shape[0])
         started = time.perf_counter()
         budgets = as_budget_list(budget, queries.shape[0])
         with trace.span("hash", queries=int(queries.shape[0])):
@@ -531,8 +518,7 @@ class C2LSH:
                             else None)
             results.extend(batch_query(
                 self, queries[start:stop], all_ids[start:stop], k,
-                n_jobs=n_jobs, started=started, budget=block_budget,
-                config=config,
+                started=started, budget=block_budget, config=config,
                 uids=None if config is None else uids[start:stop]))
         return results
 

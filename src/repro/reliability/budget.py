@@ -146,36 +146,25 @@ class BudgetTracker:
         return delta.reads + delta.writes
 
     def exceeded(self, n_candidates=0):
-        """Which cap is exhausted, or ``""`` while within budget.
-
-        Deterministic caps are checked first so degraded results are
-        reproducible whenever the deadline is not the binding limit:
-        the order is ``"candidates"``, then ``"io_pages"``, then
-        ``"deadline"``.
-        """
-        b = self.budget
-        if (b.max_candidates is not None
-                and n_candidates >= b.max_candidates):
-            return "candidates"
-        if (b.max_io_pages is not None and self._snapshot is not None
-                and self.io_spent() >= b.max_io_pages):
-            return "io_pages"
-        if (b.deadline_s is not None
-                and time.perf_counter() - self._started >= b.deadline_s):
-            return "deadline"
-        return ""
+        """Which cap is exhausted, or ``""`` while within budget
+        (:func:`tripped_cap` over this query's spend so far)."""
+        return tripped_cap(self.budget, n_candidates, self.io_spent(),
+                           self._snapshot is not None, self._started,
+                           time.perf_counter())
 
 
 def tripped_cap(budget, n_candidates, io_pages, io_enabled, started, now):
-    """Which cap of ``budget`` a batched query has exhausted (or ``""``).
+    """Which cap of ``budget`` a query has exhausted, or ``""``.
 
-    The batch engines attribute candidates and I/O pages per query
-    themselves, so their round-boundary check compares those running
-    totals instead of a :class:`BudgetTracker` snapshot — this helper
-    keeps the cap *order* (candidates, io_pages, deadline) and the
-    deadline anchoring identical to :meth:`BudgetTracker.exceeded`.
-    ``io_enabled`` tells whether page accounting is live (without it the
-    I/O cap is inert, matching the tracker's missing-snapshot rule).
+    The one copy of the cap order. Deterministic caps are checked first
+    so degraded results are reproducible whenever the deadline is not
+    the binding limit: ``"candidates"``, then ``"io_pages"``, then
+    ``"deadline"``. :meth:`BudgetTracker.exceeded` passes its snapshot's
+    spend; the batch engines, which attribute candidates and I/O pages
+    per query themselves, pass those running totals. ``io_enabled`` tells
+    whether page accounting is live (without it the I/O cap is inert).
+    The deadline is measured from the budget's ``started_at`` when set,
+    else from ``started``.
     """
     if (budget.max_candidates is not None
             and n_candidates >= budget.max_candidates):

@@ -40,7 +40,7 @@ import contextvars
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from concurrent.futures import ThreadPoolExecutor
 
@@ -48,6 +48,7 @@ import numpy as np
 
 from ..obs import flight, trace
 from ..obs.registry import MetricsRegistry
+from ..reliability.budget import QueryBudget
 from ..reliability.errors import WorkerFailureError
 from .admission import AdmissionController, CoalesceTuner, PendingQuery
 from .protocol import (
@@ -97,12 +98,9 @@ class ServerConfig:
     max_frame_bytes: int = MAX_FRAME_BYTES
     #: Server-wide deterministic budget caps (``max_candidates`` /
     #: ``max_io_pages``) merged into every request's budget. A
-    #: ``deadline_s`` here acts as the default when the request carries
-    #: none.
+    #: ``deadline_s`` here is the deadline of every request that sends
+    #: none, counted from admission like a request's own.
     budget: object = None
-    #: Deadline applied to requests that do not send ``deadline_s``
-    #: (``None`` = no deadline for such requests).
-    default_deadline_s: float = None
     #: How long after the last overload shed the readiness probe keeps
     #: reporting not-ready (hysteresis, so probes see sustained
     #: pressure rather than a single blip).
@@ -398,8 +396,8 @@ class QueryServer:
 
         now = time.perf_counter()
         self.tuner.on_arrival(now)
-        if deadline_s is None:
-            deadline_s = self.config.default_deadline_s
+        if deadline_s is None and self.config.budget is not None:
+            deadline_s = self.config.budget.deadline_s
         pending = PendingQuery(
             vector=vector, k=k, deadline_s=deadline_s,
             budget=self._budget_for(deadline_s, now),
@@ -415,25 +413,18 @@ class QueryServer:
         self._arrival.set()
 
     def _budget_for(self, deadline_s, admitted_at):
-        """The per-query budget: server caps + request deadline, anchored.
+        """The per-query budget: server caps + the deadline, anchored.
 
         Anchoring at admission time is what makes queue wait count
         against the deadline — the engine's deadline check measures from
         ``started_at``, not from when the batch happened to dispatch.
         """
-        base = self.config.budget
-        if deadline_s is None:
-            return base
-        from ..reliability.budget import QueryBudget
-
-        if base is not None:
-            budget = QueryBudget(
-                deadline_s=float(deadline_s),
-                max_io_pages=base.max_io_pages,
-                max_candidates=base.max_candidates)
-        else:
-            budget = QueryBudget(deadline_s=float(deadline_s))
-        return budget.with_start(admitted_at)
+        budget = self.config.budget
+        if deadline_s is not None:
+            budget = (QueryBudget(deadline_s=float(deadline_s))
+                      if budget is None
+                      else replace(budget, deadline_s=float(deadline_s)))
+        return None if budget is None else budget.with_start(admitted_at)
 
     def _count_shed(self, reason):
         self.metrics.counter("serving.shed").inc()

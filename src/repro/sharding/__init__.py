@@ -17,8 +17,8 @@ or fail-fast (``"raise"``) — with a circuit breaker quarantining workers
 that keep dying. See ``docs/RELIABILITY.md``.
 
 :func:`default_parallelism` is the repository's one source of truth for
-"how wide should a parallel fan-out be"; both this engine and
-``C2LSH.query_batch(n_jobs=None)`` resolve their defaults through it.
+"how wide should a parallel fan-out be"; ``ShardedC2LSH(n_workers=None)``
+resolves its worker count through it.
 """
 
 from .engine import ShardedC2LSH

@@ -1,9 +1,4 @@
-"""Shard layout and parallel-width policy.
-
-Kept dependency-free (``os`` only) so hot modules — including
-:mod:`repro.core.c2lsh` — can import the parallel-width helper lazily
-without pulling in the whole sharding engine.
-"""
+"""Shard layout and parallel-width policy (``os`` only)."""
 
 from __future__ import annotations
 
@@ -16,12 +11,12 @@ def default_parallelism(limit=None):
     """The default width for any parallel fan-out in this repository.
 
     ``min(available cpus, limit)``, never below 1. ``limit`` is the
-    natural task count (number of shards, queries in a batch, ...), so a
-    4-shard index on a 32-core box gets 4 workers, not 32. Respects CPU
-    affinity masks (cgroup/container limits) where the platform exposes
-    them. This is *the* one place a parallel width is derived;
-    :meth:`repro.core.c2lsh.C2LSH.query_batch` and
-    :class:`repro.sharding.ShardedC2LSH` both resolve their defaults here.
+    natural task count (the number of shards), so a 4-shard index on a
+    32-core box gets 4 workers, not 32. Respects CPU affinity masks
+    (cgroup/container limits) where the platform exposes them. This is
+    *the* one place a parallel width is derived;
+    :class:`repro.sharding.ShardedC2LSH` resolves ``n_workers=None``
+    here.
     """
     try:
         width = len(os.sched_getaffinity(0))

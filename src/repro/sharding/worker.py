@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.adaptive import AdaptiveConfig, collide_levels, occupancy_table
+from ..core.adaptive import AdaptiveConfig, start_payload
 from ..core.batchengine import LocalRounds, _verify_many
 from ..core.c2lsh import C2LSH
 from ..hashing.pstable import PStableFamily, PStableFunctions
@@ -338,27 +338,24 @@ class ShardHost:
         uids = None if probe is None else probe["uids"]
         for shard_id, (_, index) in self._shards.items():
             self._sessions[(session_id, shard_id)] = LocalRounds(
-                index, queries, qids, uids, config, pool=None)
+                index, queries, qids, uids, config)
         return True
 
     def batch_estimate(self, session_id):
         """Radius-start statistics for the session, one entry per shard.
 
-        Each entry is ``{"collide": (Q, m) collide levels, "occ": (Q, L)
-        occupancy table, "total": occupancy at saturation}``: one shard's
-        part of the coordinator's
-        :func:`repro.core.adaptive.merge_start_levels`, which does the
-        only merge. Reads only the in-memory sorted id arrays; no pages
-        are charged, matching the unsharded estimator.
+        Each entry is the shard's
+        :func:`repro.core.adaptive.start_payload`: one shard's part of the
+        coordinator's :func:`repro.core.adaptive.merge_start_levels`,
+        which does the only merge. No pages are charged, matching the
+        unsharded estimator.
         """
         self._chaos_step("batch_estimate")
         out = []
         for shard_id in sorted(self._shards):
             rounds = self._sessions[(session_id, shard_id)]
-            counter, c = rounds.index._counter, rounds.index.params.c
-            out.append({"collide": collide_levels(counter, rounds.qids, c),
-                        "occ": occupancy_table(counter, rounds.qids, c),
-                        "total": counter.m * counter.n})
+            out.append(start_payload(rounds.index._counter, rounds.qids,
+                                     rounds.index.params.c))
         return out
 
     def batch_round(self, session_id, radius, active, collect=False,
@@ -527,7 +524,7 @@ class ShardHost:
         jobs = [(q, np.asarray(gids, dtype=np.int64) - offset,
                  rounds.queries[q]) for q, gids in per_query.items()]
         io = np.zeros(rounds.queries.shape[0], dtype=np.int64)
-        verified = _verify_many(index, jobs, io, None)
+        verified = _verify_many(index, jobs, io)
         return {q: (dists, int(io[q]))
                 for (q, _, _), dists in zip(jobs, verified)}
 

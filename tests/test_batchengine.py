@@ -123,12 +123,6 @@ class TestBatchEquivalence:
         seq = [seq_idx.query(q, k=4) for q in queries]
         assert_equivalent(seq, bat_idx.query_batch(queries, k=4))
 
-    def test_n_jobs_identical(self, tiny):
-        data, queries = tiny
-        seq_idx, bat_idx = build_pair(data)
-        seq = [seq_idx.query(q, k=5) for q in queries]
-        assert_equivalent(seq, bat_idx.query_batch(queries, k=5, n_jobs=4))
-
     def test_recount_ablation_uses_sequential_path(self, tiny):
         data, queries = tiny
         seq_idx, bat_idx = build_pair(data, incremental=False)
@@ -144,6 +138,28 @@ class TestBatchEquivalence:
         for s, b in zip(seq, bat):
             assert np.array_equal(s.ids, b.ids)
             assert s.stats.io_reads == b.stats.io_reads == 0
+
+    def test_a_round_holds_one_querys_candidate_vectors(self):
+        """Verification reads, measures and drops one query's candidate
+        vectors before reading the next query's, so a block never holds
+        all of its candidates' vectors at once. On nus-like about half of
+        n is verified per query, so holding them all would dwarf every
+        other working array of the block."""
+        import tracemalloc
+
+        from repro.data import nus_like
+
+        ds = nus_like(scale=0.02, n_queries=64, seed=7)
+        index = C2LSH(seed=7, page_manager=PageManager()).fit(ds.data)
+        tracemalloc.start()
+        try:
+            results = index.query_batch(ds.queries, k=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        vector_bytes = (sum(r.stats.candidates for r in results)
+                        * ds.dim * ds.data.itemsize)
+        assert peak < vector_bytes / 4, (peak, vector_bytes)
 
     def test_validation(self, tiny):
         data, queries = tiny

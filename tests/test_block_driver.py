@@ -94,7 +94,7 @@ def _assert_one_shard_is_local(clustered, n_workers, chunks):
     queries = np.vstack([queries, queries + 40.0])
     config = AdaptiveConfig(chunks=chunks, provisional_exit=False)
     local = C2LSH(seed=3, page_manager=PageManager()).fit(data).query_batch(
-        queries, k=4, n_jobs=1, probe=config)
+        queries, k=4, probe=config)
     with ShardedC2LSH(n_shards=1, n_workers=n_workers, seed=3,
                       page_accounting=True).fit(data) as eng:
         sharded = eng.query_batch(queries, k=4, probe=config)

@@ -251,7 +251,7 @@ def test_sequential_matches_batch(tiny):
     data, queries = tiny
     index = C2LSH(seed=3).fit(data)
     seq = [index.query(q, k=4) for q in queries]
-    bat = index.query_batch(queries, k=4, n_jobs=1)
+    bat = index.query_batch(queries, k=4)
     for a, b in zip(seq, bat):
         assert np.array_equal(a.ids, b.ids)
         assert a.distances.tobytes() == b.distances.tobytes()

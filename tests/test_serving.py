@@ -442,24 +442,29 @@ def test_server_sheds_overloaded_and_stays_exact(index, tiny):
     assert not server.readiness()["ready"]  # overload hysteresis
 
 
+@pytest.mark.parametrize("deadline_from", ["request", "server"])
 def test_server_answers_every_admitted_request_inside_its_deadline(
-        index, tiny):
+        index, tiny, deadline_from):
     """A burst of 40 requests against 40 q/s of capacity with 250 ms
     deadlines, so about a quarter can be answered in time: the rest are
     shed explicitly, and every admitted answer is exact and arrives
     within 1.5x the deadline of the burst's first send (queue wait
-    counts against the deadline)."""
+    counts against the deadline). The deadline is each request's own,
+    or the server budget's for requests that send none."""
     data, queries = tiny
     deadline_s = 0.25
     slow = _SlowIndex(index, delay_s=0.05)   # 2 queries per 50 ms batch
-    with _serve(slow, max_batch=2, max_window_s=0.0,
-                queue_capacity=64) as server:
+    server_budget = (QueryBudget(deadline_s=deadline_s)
+                     if deadline_from == "server" else None)
+    sent_deadline = deadline_s if deadline_from == "request" else None
+    with _serve(slow, max_batch=2, max_window_s=0.0, queue_capacity=64,
+                budget=server_budget) as server:
         with QueryClient("127.0.0.1", server.port) as client:
             started = time.perf_counter()
             sent = {}
             for i in range(40):
                 q = queries[i % len(queries)]
-                sent[client.send(q, k=2, deadline_s=deadline_s)] = q
+                sent[client.send(q, k=2, deadline_s=sent_deadline)] = q
             arrived = []
             for _ in sent:
                 resp = client.recv()
