@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..kernels import row_searchsorted
-from .counting import MAX_ROUNDS
+from .counting import MAX_ROUNDS, _intervals_at
 
 __all__ = ["AdaptiveConfig", "CLASSIC", "as_probe_config",
            "check_adaptive_supported", "collide_levels",
@@ -361,16 +361,3 @@ def skipped_round_pages(counter, qids, levels, c):
         prev_lo, prev_hi = lo, hi
         radius *= c
     return out
-
-
-def _intervals_at(counter, qids, radius):
-    """Covered position intervals at ``radius`` (saturation rule included)."""
-    m, n = counter.m, counter.n
-    if radius >= 2 * (counter.id_span + 1):
-        return (np.zeros(qids.shape, dtype=np.int64),
-                np.full(qids.shape, n, dtype=np.int64))
-    anchors = (qids // radius) * radius
-    lo = row_searchsorted(counter.sorted_ids, anchors, side="left")
-    hi = row_searchsorted(counter.sorted_ids, anchors + radius,
-                          side="left")
-    return lo, hi

@@ -16,21 +16,24 @@ simultaneously —
   while the rest keep expanding.
 
 The paper's loop — count at radius ``R``, verify the newly frequent
-objects, stop on T1 or T2, else ``R <- cR`` — is written here once.
-:class:`QueryState` owns a block's candidates and every stopping decision
-(T2, then T1, then exhaustion, then the budget caps), the fallback's
-bookkeeping and the per-query :class:`~repro.core.results.QueryStats`;
-:func:`drive_block` walks the grid; a *round source* counts and verifies
-one round. :class:`LocalRounds` is the in-process source; the sharded
+objects, stop on T1 or T2, else ``R <- cR`` — is written here once, and
+every query path runs it. :class:`QueryState` owns a block's candidates
+and every stopping decision (T2, then T1, then exhaustion, then the
+budget caps), the fallback's bookkeeping and the per-query
+:class:`~repro.core.results.QueryStats`; :func:`drive_block` walks the
+grid; a *round source* counts and verifies one round.
+:class:`LocalRounds` is the in-process lockstep source; the sharded
 engine's source fans each round out to shard workers
-(:mod:`repro.sharding.engine`). Classic probing is the
+(:mod:`repro.sharding.engine`); :class:`QueryRounds` answers one query
+on a sequential per-query counter — ``C2LSH.query`` and ``QALSH.query``
+run the driver through it. Classic probing is the
 :data:`~repro.core.adaptive.CLASSIC` preset of the adaptive schedule —
 every round scans all ``m`` tables in one pass, no start estimate — and
 differs from an explicit ``AdaptiveConfig(chunks=1,
 start_estimate=False)`` only in its telemetry labels and in reporting no
 probe counts.
 
-Classic is **bit-identical** to the sequential path in
+Classic is **bit-identical** to the sequential counting of
 :meth:`repro.core.c2lsh.C2LSH.query`: same candidate sets verified in the
 same per-query order, same termination reasons, same
 :class:`~repro.core.results.QueryStats`, and the same page I/O charged per
@@ -48,6 +51,8 @@ candidate vectors, never the block's.
 from __future__ import annotations
 
 import time
+from itertools import accumulate, repeat
+from operator import mul
 
 import numpy as np
 
@@ -57,16 +62,16 @@ from ..reliability.budget import as_budget_list, tripped_cap
 from .adaptive import (
     CLASSIC,
     _chunk_bounds,
-    _intervals_at,
     estimate_start_levels,
     probe_order,
     skipped_round_pages,
 )
-from .counting import MAX_ROUNDS
+from .counting import MAX_ROUNDS, _intervals_at
 from .results import QueryResult, QueryStats
 
 __all__ = ["BatchQueryCounter", "WithinRadiusTally", "QueryState",
-           "LocalRounds", "drive_block", "batch_query", "MAX_ROUNDS"]
+           "LocalRounds", "QueryRounds", "drive_block", "batch_query",
+           "MAX_ROUNDS"]
 
 #: Rounds touching more than ``A * m * n / _DENSE_CUTOVER`` entries use the
 #: dense rank-comparison counting kernel; lighter rounds gather the newly
@@ -321,20 +326,18 @@ class BatchQueryCounter:
 def _verify_many(index, jobs, io_reads):
     """Distances for ``(query_index, ids, query_vector)`` jobs.
 
-    One job at a time: read its vectors, add their pages to
-    ``io_reads[query_index]``, compute its distances, then move on — so
-    only one job's vectors are held at a time. Returns one distance array
-    per job.
+    One job at a time through the index's own ``_verify`` (read the
+    vectors, compute their distances), adding the pages it read to
+    ``io_reads[query_index]`` — so only one job's vectors are held at a
+    time. Returns one distance array per job.
     """
     pm = index._pm
-    distance = index._family.distance
     out = []
     for q, ids, qvec in jobs:
         before = pm.stats.reads if pm is not None else 0
-        vecs = index._datafile.read(ids)
+        out.append(index._verify(ids, qvec))
         if pm is not None:
             io_reads[q] += pm.stats.reads - before
-        out.append(distance(vecs, qvec))
     return out
 
 
@@ -344,9 +347,9 @@ class QueryState:
     Round sources report what a round found through :meth:`charge`,
     :meth:`skip` and :meth:`add`, and ask :meth:`stop` which queries the
     paper's rules end; :func:`drive_block` applies the budget caps, the
-    fallback and the round telemetry. Local and sharded, classic and
-    adaptive blocks all share this one copy of the rules, so a given seed
-    and budget degrade identically on every path.
+    fallback and the round telemetry. Single queries and local and
+    sharded blocks, classic and adaptive, all share this one copy of the
+    rules, so a given seed and budget degrade identically on every path.
 
     ``t1`` enables the T1 rule's tallies; ``budgets`` is ``None`` or a
     per-query list; ``accounting`` tells whether pages are charged.
@@ -363,6 +366,11 @@ class QueryState:
         self.fpb = params.false_positive_budget
         self.target = min(n, k + self.fpb)  # T2 threshold
         self.c = params.c
+        # The radius grid 1, c, c*c, ... by repeated multiplication: exact
+        # integers for C2LSH's integer c; for QALSH's real c, ``c ** level``
+        # would round differently from the third power on.
+        self.grid = list(accumulate(repeat(params.c, MAX_ROUNDS - 1), mul,
+                                    initial=1))
         self.scale = scale
         self.budgets = budgets
         self.t0 = started
@@ -455,9 +463,10 @@ class QueryState:
         """Budget caps for the queries of ``group`` no rule stopped.
 
         Cap order (candidates, io_pages, deadline) and deadline anchoring
-        follow the sequential path's tracker; one clock read serves the
-        whole round. Each deadline is measured from its budget's
-        ``started_at`` anchor when set, else from the block's start.
+        are :func:`~repro.reliability.budget.tripped_cap`'s; one clock
+        read serves the whole round. Each deadline is measured from its
+        budget's ``started_at`` anchor when set, else from the block's
+        start.
         """
         if self.budgets is None:
             return done
@@ -483,8 +492,8 @@ class QueryState:
 
     def shortfall(self, finished):
         """``{query: fallback candidates to verify}`` for finished queries
-        short of ``k``: the rest of ``k`` plus the false-positive budget,
-        as on the sequential path."""
+        short of ``k``: the rest of ``k`` plus the false-positive
+        budget."""
         return {int(q): self.k - int(self.n_cand[q]) + self.fpb
                 for q in finished if self.n_cand[q] < self.k}
 
@@ -507,9 +516,8 @@ class QueryState:
         """Attach a round's EXPLAIN record to its span (traced only).
 
         Scanned entries, new candidates, pages and probes are the round's
-        own, summed over the group: for a one-query block, exactly the
-        sequential path's per-round columns. Total candidates, the
-        within-T1 count and the best distance are running values.
+        own, summed over the group. Total candidates, the within-T1 count
+        and the best distance are running values.
         """
         scanned, new, pages, issued, skipped = (
             now - before for now, before in zip(self.marks(group), marks))
@@ -595,7 +603,7 @@ def drive_block(state, source, levels):
     while active.size:
         level = int(levels[active].min())
         group = active[levels[active] == level]
-        radius = int(state.c) ** level
+        radius = state.grid[level]
         with trace.span(source.round_span, radius=radius,
                         active=int(group.size)) as rspan:
             marks = state.marks(group)
@@ -656,8 +664,8 @@ class LocalRounds:
         self.uids = uids
         self.config = config
         self.counter = BatchQueryCounter(index._counter, qids)
-        self.is_candidate = np.zeros(
-            (queries.shape[0], index._data.shape[0]), dtype=bool)
+        self.counts = self.counter.counts
+        self.is_candidate = np.zeros(self.counts.shape, dtype=bool)
         self.bounds = _chunk_bounds(index.params.m, config.chunks)
 
     def start_levels(self, state):
@@ -782,9 +790,9 @@ class LocalRounds:
     def finish(self, state, finished):
         """Graceful fallback for finished queries still short of ``k``.
 
-        Verifies the best-counted unverified objects, mirroring the
-        sequential path: single-granularity families and tiny databases
-        land here.
+        Verifies the best-counted unverified objects (the order of
+        :meth:`best_unverified`): single-granularity families and tiny
+        databases land here.
         """
         jobs = []
         for q, need in state.shortfall(finished).items():
@@ -810,8 +818,71 @@ class LocalRounds:
         if need <= 0:
             return np.empty(0, dtype=np.int64)
         remaining = np.flatnonzero(~self.is_candidate[q])
-        order = np.argsort(-self.counter.counts[q, remaining], kind="stable")
+        order = np.argsort(-self.counts[q, remaining], kind="stable")
         return remaining[order[:need]]
+
+
+class QueryRounds:
+    """Round source for one query on a sequential per-query counter.
+
+    :meth:`repro.core.c2lsh.C2LSH.query` runs the block driver over a
+    one-query :class:`QueryState` fed by this source, counting on
+    :class:`~repro.core.counting.QueryCounter` (incremental, or the A2
+    recount); :class:`repro.core.qalsh.QALSH` plugs in its query-centred
+    window counter. Each round expands the counter, charges the scanned
+    entries and the page manager's delta over the expansion, and verifies
+    the newly frequent objects in ascending id order — counting, page
+    charging and crossing detection independent of
+    :class:`BatchQueryCounter`, so ``query()`` stays a reference for the
+    lockstep engine. The fallback is :class:`LocalRounds`' over a
+    ``(1, n)`` view of the counter's counts.
+    """
+
+    round_span = "round"
+
+    def __init__(self, index, query, counter):
+        self.index = index
+        self.queries = query[None, :]
+        self.counter = counter
+        self.counts = counter.counts[None, :]
+        self.is_candidate = np.zeros(self.counts.shape, dtype=bool)
+
+    def answer(self, state, qspan=trace.NULL_SPAN):
+        """Drive the one-query ``state`` from radius 1; annotate ``qspan``
+        with its stats and return its :class:`QueryResult`."""
+        drive_block(state, self, np.zeros(1, dtype=np.int64))
+        result, = state.results()
+        s = result.stats
+        qspan.set(rounds=s.rounds, final_radius=s.final_radius,
+                  candidates=s.candidates, scanned_entries=s.scanned_entries,
+                  io_reads=s.io_reads, io_writes=s.io_writes,
+                  terminated_by=s.terminated_by, elapsed_s=s.elapsed_s,
+                  degraded=s.degraded)
+        return result
+
+    def run_round(self, state, group, radius, level):
+        """One radius round of the query; returns its stop mask."""
+        index, counter = self.index, self.counter
+        pm = index._pm
+        before = pm.stats.reads if pm is not None else 0
+        with trace.span("count_round", radius=radius):
+            touched = counter.expand(radius)
+            fresh = counter.newly_frequent(index.l)
+            fresh = fresh[~self.is_candidate[0, fresh]]
+        state.charge(group, touched.size,
+                     None if pm is None else pm.stats.reads - before)
+        if fresh.size:
+            with trace.span("verify", count=int(fresh.size)):
+                dists, = _verify_many(index, [(0, fresh, self.queries[0])],
+                                      state.io_reads)
+            self.is_candidate[0, fresh] = True
+            state.add(0, fresh, dists)
+        # A single-granularity family has one round only.
+        exhausted = counter.exhausted or not index._funcs.rehashable
+        return state.stop(group, radius, np.array([exhausted]), level)
+
+    finish = LocalRounds.finish
+    best_unverified = LocalRounds.best_unverified
 
 
 def _pages_saved(counter, exiting, remaining_tables, radius):
@@ -846,8 +917,8 @@ def batch_query(index, queries, query_bucket_ids, k, started=None,
     """Answer ``Q`` queries in lockstep; returns a list of results.
 
     Drives one block of :class:`LocalRounds` through :func:`drive_block`,
-    with exactly the sequential path's termination rules and graceful
-    fallback (see ``C2LSH._query_hashed``). ``config`` is an
+    the loop ``C2LSH.query`` runs over :class:`QueryRounds`: the same
+    termination rules and graceful fallback. ``config`` is an
     :class:`~repro.core.adaptive.AdaptiveConfig`, or ``None`` for
     classic; a chunked config needs ``uids``, the raw projections over
     the bucket width (``floor(uids) == query_bucket_ids``). ``started``
@@ -859,9 +930,9 @@ def batch_query(index, queries, query_bucket_ids, k, started=None,
     ``budget`` (a :class:`repro.reliability.QueryBudget`, or a sequence
     of per-query budgets — ``None`` entries unbudgeted) applies to each
     query individually: per-query attributed I/O pages and candidate
-    counts are compared against the caps after every round, exactly where
-    the sequential path checks its tracker, so a given seed and budget
-    degrade identically on both paths. Each deadline cap is measured from
+    counts are compared against the caps after every round, as for a
+    single ``query()``, so a given seed and budget degrade identically on
+    both paths. Each deadline cap is measured from
     its budget's ``started_at`` anchor when set, else from ``started`` —
     a shared entry-anchored deadline therefore trips all still-active
     queries together, while a serving front-end's per-request anchors

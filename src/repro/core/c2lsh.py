@@ -33,13 +33,12 @@ import time
 import numpy as np
 
 from ..hashing.pstable import PStableFamily
-from ..obs import flight, trace
+from ..obs import trace
 from ..reliability.budget import as_budget_list
 from ..validation import as_data_matrix, as_query_matrix, as_query_vector
 from ..storage.datafile import DataFile
 from .adaptive import as_probe_config, check_adaptive_supported
-from .batchengine import WithinRadiusTally, batch_query
-from .counting import MAX_ROUNDS as _MAX_ROUNDS
+from .batchengine import QueryRounds, QueryState, batch_query
 from .counting import CollisionCounter
 from .scaling import resolve_base_radius
 from .params import C2LSHParams, design_params
@@ -221,6 +220,9 @@ class C2LSH:
                       qspan=trace.NULL_SPAN, budget=None):
         """Query with precomputed bucket ids (batch path hashes once).
 
+        Runs the block driver over a one-query
+        :class:`~repro.core.batchengine.QueryRounds` counting on this
+        index's sequential :class:`~repro.core.counting.QueryCounter`.
         ``started`` anchors ``stats.elapsed_s`` (defaults to now);
         ``qspan`` is the enclosing telemetry span, annotated with the
         final stats before it closes. ``budget`` is checked at round
@@ -229,149 +231,17 @@ class C2LSH:
         """
         if k < 1:
             raise ValueError(f"k must be positive, got {k}")
-        if started is None:
-            started = time.perf_counter()
-        n = self._data.shape[0]
-        params = self.params
-        target = min(n, k + params.false_positive_budget)  # T2 threshold
-        snapshot = self._pm.snapshot() if self._pm is not None else None
-        traced = trace.active()
-        tracker = budget.start(self._pm, started) \
-            if budget is not None else None
-
-        counter = self._counter.start_query(
-            query_bucket_ids, incremental=self._incremental,
+        state = QueryState(
+            1, k, self.params, self._data.shape[0], self._scale,
+            t1=self._use_t1 and self._funcs.rehashable,
+            budgets=as_budget_list(budget, 1),
+            started=started if started is not None else time.perf_counter(),
+            accounting=self._pm is not None, engine="sequential",
+            probing=False,
         )
-        is_candidate = np.zeros(n, dtype=bool)
-        cand_ids = []
-        cand_dists = []
-        n_candidates = 0
-        stats = QueryStats()
-        rehashable = self._funcs.rehashable
-        # Running within-c*R count for T1: amortized O(cands log cands)
-        # over the whole query instead of rescanning every verified
-        # distance each round.
-        tally = WithinRadiusTally() if self._use_t1 and rehashable else None
-
-        radius = 1
-        while True:
-            round_snap = self._pm.snapshot() \
-                if traced and self._pm is not None else None
-            stop = None
-            with trace.span("round", radius=radius) as rspan:
-                with trace.span("count_round", radius=radius):
-                    touched = counter.expand(radius)
-                    fresh = counter.newly_frequent(params.l)
-                    fresh = fresh[~is_candidate[fresh]]
-                stats.rounds += 1
-                stats.final_radius = radius
-                stats.scanned_entries += int(touched.size)
-
-                if fresh.size:
-                    with trace.span("verify", count=int(fresh.size)):
-                        dists = self._verify(fresh, query)
-                    is_candidate[fresh] = True
-                    cand_ids.append(fresh)
-                    cand_dists.append(dists)
-                    n_candidates += fresh.size
-                    if tally is not None:
-                        tally.add(dists)
-
-                if n_candidates >= target:
-                    stop = "T2"
-                elif tally is not None and n_candidates >= k:
-                    threshold = params.c * radius * self._scale
-                    if tally.count_within(threshold) >= k:
-                        stop = "T1"
-                if stop is None and (not rehashable or counter.exhausted
-                                     or stats.rounds >= _MAX_ROUNDS):
-                    stop = "exhausted"
-                if stop is None and tracker is not None:
-                    tripped = tracker.exceeded(n_candidates)
-                    if tripped:
-                        stop = "budget"
-                        stats.degraded = True
-                        stats.budget_exhausted = tripped
-                        flight.note(
-                            "budget_exhausted", engine="sequential",
-                            cap=tripped, radius=int(radius),
-                            candidates=int(n_candidates),
-                            rounds=int(stats.rounds),
-                        )
-                        flight.dump("budget_exhausted", extra={
-                            "engine": "sequential", "cap": tripped,
-                        })
-                if traced:
-                    self._annotate_round(rspan, radius, touched, fresh,
-                                         cand_dists, n_candidates, tally,
-                                         round_snap)
-            if stop is not None:
-                stats.terminated_by = stop
-                break
-            radius *= params.c
-
-        if n_candidates < k:
-            # Graceful fallback (single-granularity families, tiny n): verify
-            # the best-counted remaining objects until k answers exist.
-            remaining = np.flatnonzero(~is_candidate)
-            if remaining.size:
-                order = np.argsort(-counter.counts[remaining], kind="stable")
-                need = min(k - n_candidates + params.false_positive_budget,
-                           remaining.size)
-                extra = remaining[order[:need]]
-                with trace.span("verify", count=int(extra.size),
-                                fallback=True):
-                    extra_dists = self._verify(extra, query)
-                cand_ids.append(extra)
-                cand_dists.append(extra_dists)
-                n_candidates += extra.size
-                if not stats.degraded:
-                    stats.terminated_by = "fallback"
-
-        stats.candidates = n_candidates
-        if snapshot is not None:
-            delta_io = self._pm.since(snapshot)
-            stats.io_reads = delta_io.reads
-            stats.io_writes = delta_io.writes
-        stats.elapsed_s = time.perf_counter() - started
-        qspan.set(rounds=stats.rounds, final_radius=stats.final_radius,
-                  candidates=stats.candidates,
-                  scanned_entries=stats.scanned_entries,
-                  io_reads=stats.io_reads, io_writes=stats.io_writes,
-                  terminated_by=stats.terminated_by,
-                  elapsed_s=stats.elapsed_s, degraded=stats.degraded)
-
-        ids = np.concatenate(cand_ids) if cand_ids else np.empty(0, np.int64)
-        dists = np.concatenate(cand_dists) if cand_dists else np.empty(0)
-        return QueryResult.from_candidates(ids, dists, k, stats)
-
-    def _annotate_round(self, rspan, radius, touched, fresh, cand_dists,
-                        n_candidates, tally, round_snap):
-        """Attach the round's full EXPLAIN record to its span (traced only).
-
-        These attributes are the single source of truth the
-        :func:`repro.core.explain.explain` tracer renders; computing them
-        costs a rescan of the verified distances, which is why this runs
-        only under an active trace.
-        """
-        threshold = self.params.c * radius * self._scale
-        if tally is not None:
-            # Idempotent for the T1 rule: thresholds are non-decreasing
-            # along the radius grid, so consuming the tally here returns
-            # the same counts the termination check sees.
-            within = tally.count_within(threshold)
-        else:
-            within = sum(int(np.count_nonzero(d <= threshold))
-                         for d in cand_dists)
-        best = min((float(d.min()) for d in cand_dists if d.size),
-                   default=float("inf"))
-        io_reads = self._pm.since(round_snap).reads \
-            if round_snap is not None else 0
-        rspan.set(radius=int(radius), scanned=int(touched.size),
-                  new_candidates=int(fresh.size),
-                  total_candidates=int(n_candidates),
-                  best_distance=best, t1_threshold=float(threshold),
-                  within_t1=int(within), io_reads=int(io_reads))
+        counter = self._counter.start_query(query_bucket_ids,
+                                            incremental=self._incremental)
+        return QueryRounds(self, query, counter).answer(state, qspan)
 
     def query_radius(self, query, radius, k=1):
         """Answer the decision-version (R, c)-NNS the paper formalizes.
@@ -473,9 +343,9 @@ class C2LSH:
         budgets (``None`` entries unbudgeted) instead budgets each query
         separately — how the serving front-end coalesces requests
         carrying different per-client deadlines into one batch. With
-        ``incremental=False`` (the A2 recount ablation) the per-query
-        sequential path is kept, so the ablation's I/O pattern stays
-        untouched. Batches larger than 1024 queries are processed in
+        ``incremental=False`` (the A2 recount ablation) each query runs
+        :meth:`query`'s one-query path in turn, so the ablation's I/O
+        pattern stays untouched. Batches larger than 1024 queries are processed in
         blocks to bound the engine's ``(block, n)`` working matrices.
 
         ``probe="adaptive"`` (or an :class:`repro.core.AdaptiveConfig`)

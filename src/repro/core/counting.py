@@ -35,7 +35,7 @@ from ..storage.hashfile import ENTRY_BYTES
 __all__ = ["CollisionCounter", "QueryCounter", "MAX_ROUNDS"]
 
 #: Hard cap on radius-expansion rounds; 2**64 exceeds any int64 id span.
-#: Shared by the sequential, batch and sharded query loops.
+#: Shared by the block driver's radius grid and the start estimator.
 MAX_ROUNDS = 64
 
 
@@ -55,8 +55,8 @@ class CollisionCounter:
         self.order = np.argsort(columns, axis=1, kind="stable")
         self.sorted_ids = np.take_along_axis(columns, self.order, axis=1)
         self._rank = None
-        #: Global bucket-id span; see QueryCounter._intervals_for for the
-        #: saturation rule that keeps huge radii well-defined.
+        #: Global bucket-id span; see _intervals_at for the saturation
+        #: rule that keeps huge radii well-defined.
         self.id_span = int(bucket_ids.max()) - int(bucket_ids.min())
         self._pm = page_manager
         self._entry_bytes = int(entry_bytes)
@@ -99,6 +99,23 @@ class CollisionCounter:
         return QueryCounter(self, query_bucket_ids, incremental=incremental)
 
 
+def _intervals_at(counter, qids, radius):
+    """Covered position intervals ``[lo, hi)`` at ``radius`` of the queries
+    hashed to ``qids`` (``(m,)`` or ``(Q, m)`` base bucket ids)."""
+    # Saturation: with an aligned grid, a query and a point on opposite
+    # sides of a boundary that is aligned at *every* level (e.g. 0) never
+    # share a bucket, however large the radius — so "cover everything"
+    # is the correct limit semantics once the radius dwarfs the id span.
+    # Saturating at 2*(span+1) also keeps anchor arithmetic inside int64.
+    if radius >= 2 * (counter.id_span + 1):
+        return (np.zeros(qids.shape, dtype=np.int64),
+                np.full(qids.shape, counter.n, dtype=np.int64))
+    anchors = (qids // radius) * radius
+    lo = row_searchsorted(counter.sorted_ids, anchors, side="left")
+    hi = row_searchsorted(counter.sorted_ids, anchors + radius, side="left")
+    return lo, hi
+
+
 class QueryCounter:
     """Per-query collision counts, expandable to growing radii."""
 
@@ -124,21 +141,6 @@ class QueryCounter:
         return self._started and bool(
             np.all(self._lo == 0) and np.all(self._hi == n)
         )
-
-    def _intervals_for(self, radius):
-        # Saturation: with an aligned grid, a query and a point on opposite
-        # sides of a boundary that is aligned at *every* level (e.g. 0) never
-        # share a bucket, however large the radius — so "cover everything"
-        # is the correct limit semantics once the radius dwarfs the id span.
-        # Saturating at 2*(span+1) also keeps anchor arithmetic inside int64.
-        if radius >= 2 * (self._index.id_span + 1):
-            return (np.zeros(self._index.m, dtype=np.int64),
-                    np.full(self._index.m, self._index.n, dtype=np.int64))
-        anchors = (self._qids // radius) * radius
-        lo = row_searchsorted(self._index.sorted_ids, anchors, side="left")
-        hi = row_searchsorted(self._index.sorted_ids, anchors + radius,
-                              side="left")
-        return lo, hi
 
     def _check_radius(self, radius):
         if radius < 1 or int(radius) != radius:
@@ -189,7 +191,7 @@ class QueryCounter:
         if not self._incremental:
             return self._recount(radius)
 
-        lo_new, hi_new = self._intervals_for(radius)
+        lo_new, hi_new = _intervals_at(self._index, self._qids, radius)
         if self._started:
             if np.any(lo_new > self._lo) or np.any(hi_new < self._hi):
                 raise AssertionError(
@@ -240,7 +242,7 @@ class QueryCounter:
     def _recount(self, radius):
         """Ablation mode: rebuild all counts from scratch at ``radius``."""
         self.counts[:] = 0
-        lo_new, hi_new = self._intervals_for(radius)
+        lo_new, hi_new = _intervals_at(self._index, self._qids, radius)
         self._lo, self._hi = lo_new, hi_new
         self._started = True
         self.radius = radius

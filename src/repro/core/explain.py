@@ -8,10 +8,10 @@ closest verified distance so far, the state of both termination rules,
 and the I/O bill — then renders it as a table.
 
 The round records come straight from the ``"round"`` span attributes the
-engine itself emits (see ``C2LSH._annotate_round`` and, on the batch
-paths, ``QueryState.annotate``), so the telemetry stream is the single
-source of truth: what EXPLAIN shows is literally what ``query`` did, not
-a re-implementation of the search loop.
+engine itself emits (``QueryState.annotate``, on every path), so the
+telemetry stream is the single source of truth: what EXPLAIN shows is
+literally what ``query`` did, not a re-implementation of the search
+loop.
 """
 
 from __future__ import annotations

@@ -128,14 +128,20 @@ def _load_verified(path, expected_kind):
     :class:`CorruptIndexError` naming the failing section; a missing file
     propagates as ``FileNotFoundError`` (absence is not corruption).
     """
+    # Opened here, not by np.load: NpzFile takes over the file object
+    # before zipfile rejects a damaged archive, and would leak it.
+    fh = None
     try:
-        blob = np.load(os.fspath(path))
+        fh = open(os.fspath(path), "rb")
+        blob = np.load(fh)
     except FileNotFoundError:
         raise
     except Exception as exc:
+        if fh is not None:
+            fh.close()
         raise CorruptIndexError(path, "container",
                                 f"unreadable npz: {exc}") from exc
-    with blob:
+    with fh, blob:
         if _MANIFEST not in blob.files:
             if "format_version" in blob.files:
                 version = int(_read_member(blob, path, "format_version"))

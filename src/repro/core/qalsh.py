@@ -30,15 +30,15 @@ from .. import kernels
 from ..hashing.pstable import PStableFamily
 from ..kernels import row_searchsorted
 from ..obs import trace
+from ..reliability.budget import as_budget_list
 from ..storage.hashfile import ENTRY_BYTES
 from ..validation import as_data_matrix, as_query_matrix, as_query_vector
+from .batchengine import QueryRounds, QueryState
+from .counting import QueryCounter
 from .scaling import resolve_base_radius
 from .params import optimal_alpha, required_m
-from .results import QueryResult, QueryStats
 
 __all__ = ["QALSH", "qalsh_collision_probability", "qalsh_optimal_w"]
-
-_MAX_ROUNDS = 64
 
 
 def qalsh_collision_probability(s, w, radius=1.0):
@@ -168,138 +168,35 @@ class QALSH:
             raise ValueError(f"k must be positive, got {k}")
         started = time.perf_counter()
         with trace.span("query", k=int(k), index="qalsh") as qspan:
-            return self._traced_query(query, k, started, qspan, budget)
-
-    def _traced_query(self, query, k, started, qspan, budget=None):
-        """Body of :meth:`query`, run inside its ``"query"`` span."""
-        n, dim = self._data.shape
-        query = as_query_vector(query, dim)
-        with trace.span("hash"):
-            centers = self._funcs.project(query / self._scale)  # (m,)
-        target = min(n, k + self.false_positive_budget)
-        snapshot = self._pm.snapshot() if self._pm is not None else None
-        tracker = budget.start(self._pm, started) \
-            if budget is not None else None
-
-        counts = np.zeros(n, dtype=np.int32)
-        lo = np.zeros(self.m, dtype=np.int64)
-        hi = np.zeros(self.m, dtype=np.int64)
-        is_candidate = np.zeros(n, dtype=bool)
-        cand_ids, cand_dists = [], []
-        n_candidates = 0
-        stats = QueryStats()
-
-        radius = 1.0
-        opened = False
-        while True:
-            with trace.span("count_round", radius=int(radius)):
-                half = self.w * radius / 2.0
-                lo_new = row_searchsorted(self._sorted_proj, centers - half,
-                                          side="left")
-                hi_new = row_searchsorted(self._sorted_proj, centers + half,
-                                          side="right")
-                segments = []
-                if opened:
-                    for j in np.flatnonzero((lo_new < lo) | (hi < hi_new)):
-                        if lo_new[j] < lo[j]:
-                            segments.append((j, int(lo_new[j]), int(lo[j])))
-                        if hi[j] < hi_new[j]:
-                            segments.append((j, int(hi[j]), int(hi_new[j])))
-                else:
-                    segments = [(j, int(lo_new[j]), int(hi_new[j]))
-                                for j in range(self.m)]
-                touched = [self._order[j, a:b]
-                           for j, a, b in segments if b > a]
-                if self._pm is not None and touched:
-                    self._pm.charge_bucket_scans(
-                        [b - a for _, a, b in segments if b > a], ENTRY_BYTES
-                    )
-                lo, hi = lo_new, hi_new
-                opened = True
-                stats.rounds += 1
-                stats.final_radius = int(radius)
-
-                fresh = np.empty(0, dtype=np.int64)
-                if touched:
-                    touched = np.concatenate(touched)
-                    stats.scanned_entries += int(touched.size)
-                    delta = kernels.bincount_i32(touched, n)
-                    counts += delta
-                    fresh = np.flatnonzero(
-                        (counts >= self.l) & (counts - delta < self.l)
-                    )
-                    fresh = fresh[~is_candidate[fresh]]
-            if fresh.size:
-                with trace.span("verify", count=int(fresh.size)):
-                    dists = self._verify(fresh, query)
-                is_candidate[fresh] = True
-                cand_ids.append(fresh)
-                cand_dists.append(dists)
-                n_candidates += fresh.size
-
-            if n_candidates >= target:
-                stats.terminated_by = "T2"
-                break
-            if n_candidates >= k:
-                threshold = self.c * radius * self._scale
-                within = sum(
-                    int(np.count_nonzero(d <= threshold))
-                    for d in cand_dists
-                )
-                if within >= k:
-                    stats.terminated_by = "T1"
-                    break
-            exhausted = bool(np.all(lo == 0) and np.all(hi == n))
-            if exhausted or stats.rounds >= _MAX_ROUNDS:
-                stats.terminated_by = "exhausted"
-                break
-            if tracker is not None:
-                tripped = tracker.exceeded(n_candidates)
-                if tripped:
-                    stats.terminated_by = "budget"
-                    stats.degraded = True
-                    stats.budget_exhausted = tripped
-                    break
-            radius *= self.c
-
-        if n_candidates < k:
-            remaining = np.flatnonzero(~is_candidate)
-            if remaining.size:
-                order = np.argsort(-counts[remaining], kind="stable")
-                need = min(k - n_candidates + self.false_positive_budget,
-                           remaining.size)
-                extra = remaining[order[:need]]
-                cand_ids.append(extra)
-                with trace.span("verify", count=int(extra.size),
-                                fallback=True):
-                    cand_dists.append(self._verify(extra, query))
-                n_candidates += extra.size
-                if not stats.degraded:
-                    stats.terminated_by = "fallback"
-
-        stats.candidates = n_candidates
-        if snapshot is not None:
-            delta_io = self._pm.since(snapshot)
-            stats.io_reads = delta_io.reads
-            stats.io_writes = delta_io.writes
-        stats.elapsed_s = time.perf_counter() - started
-        qspan.set(rounds=stats.rounds, final_radius=stats.final_radius,
-                  candidates=stats.candidates,
-                  scanned_entries=stats.scanned_entries,
-                  io_reads=stats.io_reads, io_writes=stats.io_writes,
-                  terminated_by=stats.terminated_by,
-                  elapsed_s=stats.elapsed_s, degraded=stats.degraded)
-
-        ids = np.concatenate(cand_ids) if cand_ids else np.empty(0, np.int64)
-        dists = np.concatenate(cand_dists) if cand_dists else np.empty(0)
-        return QueryResult.from_candidates(ids, dists, k, stats)
+            n, dim = self._data.shape
+            query = as_query_vector(query, dim)
+            with trace.span("hash"):
+                centers = self._funcs.project(query / self._scale)  # (m,)
+            # The index stands in for C2LSH's params: it has ``c`` and
+            # ``false_positive_budget``.
+            state = QueryState(
+                1, k, self, n, self._scale, t1=True,
+                budgets=as_budget_list(budget, 1), started=started,
+                accounting=self._pm is not None, engine="qalsh",
+                probing=False,
+            )
+            counter = _WindowCounter(self, centers)
+            return QueryRounds(self, query, counter).answer(state, qspan)
 
     def query_batch(self, queries, k=1, budget=None):
-        """Answer many queries; returns a list of QueryResult."""
+        """Answer many queries; returns a list of QueryResult.
+
+        ``budget`` is one :class:`repro.reliability.QueryBudget` for every
+        query or a sequence of per-query budgets (``None`` entries
+        unbudgeted), as for :meth:`repro.core.c2lsh.C2LSH.query_batch`.
+        """
         if not self.is_fitted:
             raise RuntimeError("index is not fitted; call fit(data) first")
         queries = as_query_matrix(queries, self._data.shape[1])
-        return [self.query(q, k=k, budget=budget) for q in queries]
+        budgets = (as_budget_list(budget, queries.shape[0])
+                   or [None] * queries.shape[0])
+        return [self.query(q, k=k, budget=b)
+                for q, b in zip(queries, budgets)]
 
     def _verify(self, ids, query):
         if self._pm is not None:
@@ -317,3 +214,59 @@ class QALSH:
             return f"QALSH(c={self.c}, unfitted)"
         return (f"QALSH(n={self._data.shape[0]}, dim={self._data.shape[1]}, "
                 f"m={self.m}, l={self.l}, c={self.c})")
+
+
+class _WindowCounter:
+    """One query's collision counts over QALSH's query-centred windows.
+
+    At radius ``R`` table ``j`` counts the objects whose projection lies
+    in ``[a_j.q - wR/2, a_j.q + wR/2]``; a wider radius scans only each
+    window's left and right extensions. Offers the
+    :class:`~repro.core.counting.QueryCounter` interface ``QueryRounds``
+    counts through: :meth:`expand`, ``newly_frequent``, :attr:`exhausted`
+    and ``counts``.
+    """
+
+    newly_frequent = QueryCounter.newly_frequent
+
+    def __init__(self, index, centers):
+        self._index = index
+        self._centers = centers
+        self.counts = np.zeros(index._data.shape[0], dtype=np.int32)
+        self._lo = self._hi = None
+        self.last_delta = None
+
+    @property
+    def exhausted(self):
+        """True when every window covers every entry."""
+        return self._lo is not None and bool(
+            np.all(self._lo == 0) and np.all(self._hi == self.counts.size))
+
+    def expand(self, radius):
+        """Widen every window to ``radius``; return the object ids newly
+        counted (once per window that newly covers them)."""
+        index = self._index
+        half = index.w * radius / 2.0
+        lo = row_searchsorted(index._sorted_proj, self._centers - half,
+                              side="left")
+        hi = row_searchsorted(index._sorted_proj, self._centers + half,
+                              side="right")
+        if self._lo is None:
+            segments = [(j, lo[j], hi[j]) for j in range(index.m)]
+        else:
+            segments = []
+            for j in np.flatnonzero((lo < self._lo) | (self._hi < hi)):
+                segments += [(j, lo[j], self._lo[j]), (j, self._hi[j], hi[j])]
+        self._lo, self._hi = lo, hi
+        segments = [(j, a, b) for j, a, b in segments if b > a]
+        if not segments:
+            self.last_delta = None
+            return np.empty(0, dtype=np.int64)
+        if index._pm is not None:
+            index._pm.charge_bucket_scans([b - a for _, a, b in segments],
+                                          ENTRY_BYTES)
+        touched = np.concatenate([index._order[j, a:b]
+                                  for j, a, b in segments])
+        self.last_delta = kernels.bincount_i32(touched, self.counts.size)
+        self.counts += self.last_delta
+        return touched

@@ -29,7 +29,7 @@ See ``docs/RELIABILITY.md`` for the fault-plan schema, budget semantics,
 and the degraded-result contract.
 """
 
-from .budget import BudgetTracker, QueryBudget, as_budget_list
+from .budget import QueryBudget, as_budget_list
 from .errors import (
     CorruptIndexError,
     InjectedWorkerExit,
@@ -51,7 +51,6 @@ __all__ = [
     "FaultRule",
     "RetryPolicy",
     "QueryBudget",
-    "BudgetTracker",
     "as_budget_list",
     "TransientIOError",
     "CorruptIndexError",

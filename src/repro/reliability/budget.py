@@ -26,7 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
-__all__ = ["QueryBudget", "BudgetTracker", "as_budget_list"]
+__all__ = ["QueryBudget", "as_budget_list"]
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class QueryBudget:
         ``default`` is the engine's query-entry stamp (a
         ``time.perf_counter()`` value; ``None`` falls through to "now").
         Every deadline comparison routes through this so an explicit
-        anchor wins everywhere — tracker, batch engines, supervision.
+        anchor wins everywhere — the block driver, supervision.
         """
         if self.started_at is not None:
             return self.started_at
@@ -115,43 +115,6 @@ class QueryBudget:
         now = now if now is not None else time.perf_counter()
         return max(0.0, self.deadline_s - (now - self.effective_start(started)))
 
-    def start(self, page_manager=None, started=None):
-        """Begin tracking one query; returns a :class:`BudgetTracker`.
-
-        ``started`` anchors the deadline (a ``time.perf_counter()``
-        value; defaults to now, and is overridden by an explicit
-        ``started_at`` on the budget). ``page_manager`` supplies the I/O
-        snapshot the ``max_io_pages`` cap diffs against.
-        """
-        return BudgetTracker(self, page_manager, started)
-
-
-class BudgetTracker:
-    """Per-query budget state: a snapshot plus an ``exceeded`` probe."""
-
-    __slots__ = ("budget", "_pm", "_snapshot", "_started")
-
-    def __init__(self, budget, page_manager=None, started=None):
-        self.budget = budget
-        self._pm = page_manager
-        self._snapshot = (page_manager.snapshot()
-                          if page_manager is not None else None)
-        self._started = budget.effective_start(started)
-
-    def io_spent(self):
-        """Pages charged since tracking started (0 without a manager)."""
-        if self._snapshot is None:
-            return 0
-        delta = self._pm.since(self._snapshot)
-        return delta.reads + delta.writes
-
-    def exceeded(self, n_candidates=0):
-        """Which cap is exhausted, or ``""`` while within budget
-        (:func:`tripped_cap` over this query's spend so far)."""
-        return tripped_cap(self.budget, n_candidates, self.io_spent(),
-                           self._snapshot is not None, self._started,
-                           time.perf_counter())
-
 
 def tripped_cap(budget, n_candidates, io_pages, io_enabled, started, now):
     """Which cap of ``budget`` a query has exhausted, or ``""``.
@@ -159,10 +122,10 @@ def tripped_cap(budget, n_candidates, io_pages, io_enabled, started, now):
     The one copy of the cap order. Deterministic caps are checked first
     so degraded results are reproducible whenever the deadline is not
     the binding limit: ``"candidates"``, then ``"io_pages"``, then
-    ``"deadline"``. :meth:`BudgetTracker.exceeded` passes its snapshot's
-    spend; the batch engines, which attribute candidates and I/O pages
-    per query themselves, pass those running totals. ``io_enabled`` tells
-    whether page accounting is live (without it the I/O cap is inert).
+    ``"deadline"``. The block driver, which attributes candidates and I/O
+    pages to each query itself, passes those running totals.
+    ``io_enabled`` tells whether page accounting is live (without it the
+    I/O cap is inert).
     The deadline is measured from the budget's ``started_at`` when set,
     else from ``started``.
     """

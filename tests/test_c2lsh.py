@@ -172,6 +172,56 @@ class TestTermination:
         result = index.query(queries[0], k=5)
         assert len(result) == 5
 
+    @staticmethod
+    def _paper_loop(index, hashed, data, q, k):
+        """The paper's query loop over brute-force collision counts:
+        ``(terminated_by, final_radius, rounds, candidates, answer ids)``."""
+        params = index.params
+        n, m = hashed.shape
+        hq = index._funcs.hash(index._hash_view(q))
+        saturated = 2 * (index._counter.id_span + 1)
+        dist = index._family.distance(data, q)
+        target = min(n, k + params.false_positive_budget)
+        verified = np.zeros(n, dtype=bool)
+        radius = 1
+        for rounds in range(1, 65):
+            counts = (np.full(n, m) if radius >= saturated
+                      else (hashed // radius == hq // radius).sum(axis=1))
+            verified |= counts >= params.l
+            within = dist <= params.c * radius * index._scale
+            if verified.sum() >= target:
+                reason = "T2"
+            elif (verified & within).sum() >= k:
+                reason = "T1"
+            elif (counts == m).all() or rounds == 64:
+                reason = "exhausted"
+            else:
+                radius *= params.c
+                continue
+            ids = np.flatnonzero(verified)
+            best = ids[np.argsort(dist[ids], kind="stable")[:k]]
+            return (reason, radius, rounds, int(verified.sum()),
+                    set(best.tolist()))
+
+    @pytest.mark.parametrize("case", ["clustered", "tiny", "tiny_k_over_n"])
+    def test_query_and_batch_follow_the_paper_loop(self, case, clustered,
+                                                   tiny):
+        if case == "clustered":
+            data, held = clustered
+            noise = np.random.default_rng(0).normal(0.0, 40.0, held.shape)
+            queries, k = np.vstack([held, held + noise]), 10
+        else:
+            data, queries = tiny
+            k = 5 if case == "tiny" else data.shape[0] + 50
+        index = C2LSH(seed=0).fit(data)
+        hashed = index._funcs.hash(index._hash_view(data))
+        for q, batched in zip(queries, index.query_batch(queries, k=k)):
+            want = self._paper_loop(index, hashed, data, q, k)
+            for r in (index.query(q, k=k), batched):
+                s = r.stats
+                assert (s.terminated_by, s.final_radius, s.rounds,
+                        s.candidates, set(r.ids.tolist())) == want
+
 
 class TestIOAccounting:
     def test_io_counted_when_page_manager_attached(self, tiny):

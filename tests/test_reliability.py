@@ -7,7 +7,9 @@ stays deterministic for a fixed seed value.
 
 from __future__ import annotations
 
+import gc
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -472,6 +474,25 @@ class TestQueryBudget:
         assert result.stats.terminated_by == "budget"
         assert len(result) > 0
 
+    def test_qalsh_batch_takes_per_query_budgets(self, clustered):
+        from repro.core.scaling import estimate_base_radius
+
+        data, queries = clustered
+        unit = estimate_base_radius(data, rng=0) / 8.0
+        index = QALSH(c=2.0, seed=0, base_radius=unit,
+                      page_manager=PageManager()).fit(data)
+        results = index.query_batch(
+            queries, k=5, budget=[QueryBudget(max_io_pages=1), None] * 5)
+        for i, r in enumerate(results):
+            if i % 2 == 0:
+                assert r.stats.degraded
+                assert r.stats.budget_exhausted == "io_pages"
+            else:
+                plain = index.query(queries[i], k=5)
+                assert not r.stats.degraded
+                assert np.array_equal(r.ids, plain.ids)
+                assert np.array_equal(r.distances, plain.distances)
+
     def test_budget_without_page_manager_io_cap_inert(self, clustered):
         data, queries = clustered
         index = C2LSH(c=2, seed=0).fit(data)  # no page manager
@@ -545,6 +566,20 @@ class TestPersistenceChaos:
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CorruptIndexError):
             load_c2lsh(path)
+
+    def test_unreadable_container_closes_its_file(self, saved):
+        _, path, _ = saved
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with pytest.raises(CorruptIndexError) as err:
+                load_c2lsh(path)
+            assert err.value.section == "container"
+            del err
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
     def test_random_byte_flips_never_load_silently_wrong(self, saved):
         index, path, queries = saved
