@@ -2,9 +2,9 @@
 
 C2LSH's bucket files are bulk-built; :class:`repro.core.UpdatableC2LSH`
 turns them into a living index with an LSM-style side buffer, stable
-handles, tombstoned deletes, and threshold-triggered rebuilds. This example
-simulates a feed of arriving and expiring items and checks the index stays
-exact-quality against a brute-force oracle throughout.
+handles, deletes as a live mask, and threshold-triggered rebuilds. This
+example simulates a feed of arriving and expiring items and checks the
+index stays exact-quality against a brute-force oracle throughout.
 
 Run:  python examples/updatable_stream.py
 """

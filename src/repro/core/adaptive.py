@@ -14,9 +14,9 @@ direction; see docs/PERFORMANCE.md):
    candidate, T1, or T2 outcome is possible — skipping straight to the
    estimated level is *answer-preserving* (interval nesting makes the
    jumped-to counts equal the incremental ones). The estimate costs two
-   binary searches per table on data already in memory and charges no
-   pages, consistent with the classic path never charging its searchsorted
-   descents.
+   binary searches per table and grid level up to saturation, on data
+   already in memory, and charges no pages, consistent with the classic
+   path never charging its searchsorted descents.
 
 2. **Likelihood-ordered probing** (:func:`probe_order`): within a round,
    tables are probed in descending *margin* order — the distance from the
@@ -52,13 +52,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..kernels import row_searchsorted
 from .counting import MAX_ROUNDS, _intervals_at
 
 __all__ = ["AdaptiveConfig", "CLASSIC", "as_probe_config",
-           "check_adaptive_supported", "collide_levels",
-           "estimate_start_levels", "start_payload", "occupancy_table",
-           "merge_start_levels", "probe_order", "saturation_level"]
+           "check_adaptive_supported", "estimate_start_levels",
+           "start_payload", "merge_start_levels", "probe_order",
+           "saturation_level"]
 
 
 @dataclass(frozen=True)
@@ -163,61 +162,17 @@ def saturation_level(id_span, c):
     return level
 
 
-def collide_levels(counter, qids, c):
-    """Per-(query, table) minimal grid level with a non-empty query bucket.
-
-    ``counter`` is a :class:`~repro.core.counting.CollisionCounter`;
-    ``qids`` the ``(Q, m)`` base bucket ids. Returns an int64 ``(Q, m)``
-    matrix: entry ``(q, j)`` is the smallest ``t`` such that the radius-
-    ``c**t`` bucket of query ``q`` in table ``j`` contains at least one
-    database entry (capped at :func:`saturation_level`, where coverage is
-    total by definition).
-
-    The radius-``R`` bucket is the id interval ``[floor(qid/R)*R, +R)``.
-    It is non-empty iff it contains the query's nearest entry on either
-    side, so two binary searches per table suffice; the level scan is a
-    vectorized walk over at most ``saturation_level`` grid levels. No
-    pages are charged — like the classic path's searchsorted descent,
-    this touches only the in-memory sorted id arrays.
-    """
-    qids = np.asarray(qids, dtype=np.int64)
-    sorted_ids = counter.sorted_ids
-    m, n = sorted_ids.shape
-    pos = row_searchsorted(sorted_ids, qids, side="left")
-    rows = np.arange(m)[None, :]
-    has_below = pos > 0
-    has_above = pos < n
-    below = sorted_ids[rows, np.clip(pos - 1, 0, n - 1)]
-    above = sorted_ids[rows, np.clip(pos, 0, n - 1)]
-
-    max_level = saturation_level(counter.id_span, c)
-    levels = np.full(qids.shape, max_level, dtype=np.int64)
-    unresolved = np.ones(qids.shape, dtype=bool)
-    radius = 1
-    for level in range(max_level):
-        hit = ((has_below & (below // radius == qids // radius))
-               | (has_above & (above // radius == qids // radius)))
-        found = unresolved & hit
-        levels[found] = level
-        unresolved &= ~hit
-        if not unresolved.any():
-            break
-        radius *= c
-    return levels
-
-
 def estimate_start_levels(counter, qids, l, c, k=1):
     """Per-query start level: first level where termination is possible.
 
     The elementwise max of two exact lower bounds on the first level at
     which any candidate — and hence any T1/T2 firing — can exist:
 
-    * the *l-th smallest per-table collide level*
-      (:func:`collide_levels`): below it fewer than ``l`` tables have a
-      non-empty query bucket, so no object can reach collision count
-      ``l``;
+    * the *l-th smallest per-table collide level*: below it fewer than
+      ``l`` tables have a non-empty query bucket, so no object can reach
+      collision count ``l``;
     * the *occupancy level*: the first level whose total bucket
-      occupancy ``S_t(q)`` (:func:`occupancy_table`) reaches ``l * k``.
+      occupancy ``S_t(q)`` reaches ``l * k``.
       Every object that crossed the collision threshold ``l`` by level
       ``t`` contributes at least ``l`` entries to ``S_t``, so below it
       the buckets cannot hold even ``k`` threshold-crossers (T1 and T2
@@ -230,7 +185,8 @@ def estimate_start_levels(counter, qids, l, c, k=1):
     incrementally accumulated ones — skipping is answer-preserving. The
     rule is :func:`merge_start_levels` over the whole index as one
     partition, so the sharded engine's merged estimate matches it
-    decision for decision.
+    decision for decision; :func:`start_payload` computes both levels'
+    inputs in one walk over the grid.
     """
     return merge_start_levels([start_payload(counter, qids, c)], l, l * k)
 
@@ -240,34 +196,31 @@ def start_payload(counter, qids, c):
 
     ``{"collide": (Q, m) collide levels, "occ": (Q, L) occupancy table,
     "total": occupancy at saturation}`` — what
-    :func:`merge_start_levels` combines. Reads only the in-memory sorted
-    id arrays; no pages are charged, matching the classic path's
-    uncharged searchsorted descent.
-    """
-    return {"collide": collide_levels(counter, qids, c),
-            "occ": occupancy_table(counter, qids, c),
-            "total": counter.m * counter.n}
+    :func:`merge_start_levels` combines. One walk over the grid levels up
+    to :func:`saturation_level` (where every bucket covers all entries)
+    takes each level's bucket intervals ``[lo, hi)``:
 
+    * ``collide[q, j]`` is the first level at which query ``q``'s bucket
+      in table ``j`` holds an entry (``hi > lo``);
+    * ``occ[q, t]`` is ``S_t(q)``, the summed sizes of the query's
+      level-``t`` buckets over all ``m`` tables. Occupancies add across
+      row partitions, so the sharded coordinator's column-wise sum
+      equals the unsharded table exactly.
 
-def occupancy_table(counter, qids, c):
-    """Per-query total bucket occupancy at every grid level.
-
-    Returns an int64 ``(Q, sat + 1)`` matrix whose column ``t`` is
-    ``S_t(q)`` — the summed sizes of the query's level-``t`` buckets over
-    all ``m`` tables — up to the counter's :func:`saturation_level`. The
-    sharded engine's workers compute this per shard; occupancies are
-    additive across row partitions, so the coordinator's column-wise sum
-    (:func:`merge_start_levels`) equals the unsharded matrix exactly.
+    Reads only the in-memory sorted id arrays; no pages are charged,
+    matching the classic path's uncharged searchsorted descent.
     """
     qids = np.asarray(qids, dtype=np.int64)
     sat = saturation_level(counter.id_span, c)
-    out = np.empty((qids.shape[0], sat + 1), dtype=np.int64)
+    collide = np.full(qids.shape, sat, dtype=np.int64)  # sat: none yet
+    occ = np.empty((qids.shape[0], sat + 1), dtype=np.int64)
     radius = 1
     for level in range(sat + 1):
         lo, hi = _intervals_at(counter, qids, radius)
-        out[:, level] = (hi - lo).sum(axis=1)
+        occ[:, level] = (hi - lo).sum(axis=1)
+        collide[(hi > lo) & (collide == sat)] = level
         radius *= c
-    return out
+    return {"collide": collide, "occ": occ, "total": counter.m * counter.n}
 
 
 def merge_start_levels(payloads, l, need):

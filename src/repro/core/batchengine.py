@@ -382,7 +382,7 @@ class QueryState:
         self.cand_dists = [[] for _ in range(n_queries)]
         self.n_cand = np.zeros(n_queries, dtype=np.int64)
         self.rounds = np.zeros(n_queries, dtype=np.int64)
-        self.final_radius = np.zeros(n_queries, dtype=np.int64)
+        self.last_level = np.zeros(n_queries, dtype=np.int64)
         self.scanned = np.zeros(n_queries, dtype=np.int64)
         self.io_reads = np.zeros(n_queries, dtype=np.int64)
         self.probes_issued = np.zeros(n_queries, dtype=np.int64)
@@ -552,7 +552,7 @@ class QueryState:
         for q in range(self.n_queries):
             stats = QueryStats(
                 rounds=int(self.rounds[q]),
-                final_radius=int(self.final_radius[q]),
+                final_radius=self.grid[self.last_level[q]],
                 candidates=int(self.n_cand[q]),
                 scanned_entries=int(self.scanned[q]),
                 terminated_by=self.reason[q],
@@ -608,7 +608,7 @@ def drive_block(state, source, levels):
                         active=int(group.size)) as rspan:
             marks = state.marks(group)
             state.rounds[group] += 1
-            state.final_radius[group] = radius
+            state.last_level[group] = level
             done = source.run_round(state, group, radius, level)
             done = state.check_budgets(group, done, radius)
             if marks is not None:

@@ -18,7 +18,8 @@ class QueryStats:
     rounds:
         Radius-expansion rounds executed (C2LSH/QALSH) or probe rounds.
     final_radius:
-        Search radius at termination (0 when radii do not apply).
+        Grid radius of the last round (0 when radii do not apply): an
+        int on C2LSH's integer grid, the real radius for QALSH.
     candidates:
         Number of objects whose true distance was computed.
     scanned_entries:
@@ -57,7 +58,7 @@ class QueryStats:
     """
 
     rounds: int = 0
-    final_radius: int = 0
+    final_radius: float = 0
     candidates: int = 0
     scanned_entries: int = 0
     io_reads: int = 0

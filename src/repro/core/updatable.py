@@ -5,10 +5,12 @@ trade-off for external-memory range scans. Real deployments still need
 inserts and deletes, and the classical answer is the one implemented here
 (a small LSM-style split):
 
-* **inserts** accumulate in an exactly-searched side buffer; a query merges
-  the main index's answer with a linear scan of the buffer (the buffer is
-  small, so the scan is one or two pages);
-* **deletes** go into a tombstone set filtered out of every answer;
+* **inserts** append to an exactly-searched side buffer, one matrix of
+  the rows inserted since the last rebuild; a query merges the main
+  index's answer with a linear scan of the buffer (the buffer is small,
+  so the scan is one or two pages);
+* **deletes** clear the handle's entry in a live mask, and every answer
+  keeps only live handles;
 * when the buffer outgrows ``rebuild_threshold`` (a fraction of the indexed
   size), the wrapper rebuilds the main index over the live points —
   amortized O(polylog) per update for any constant fraction.
@@ -18,13 +20,15 @@ can keep external references across rebuilds.
 
 Everything here lives in RAM; for crash safety wrap the index in
 :class:`repro.durability.DurableUpdatableC2LSH`, which write-ahead-logs
-every update and checkpoints snapshots through :mod:`repro.core.persist`.
+every update and checkpoints the store through :meth:`UpdatableC2LSH._state`
+and :meth:`UpdatableC2LSH._from_state`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .. import kernels
 from ..validation import as_query_vector, require_finite
 from .c2lsh import C2LSH
 from .results import QueryResult, QueryStats
@@ -66,16 +70,15 @@ class UpdatableC2LSH:
             )
         self._kwargs = dict(c2lsh_kwargs)
         self._dim = None
-        self._index = None          # C2LSH over _indexed rows
-        self._indexed = None        # (n_idx, dim) matrix behind _index
+        self._index = None          # C2LSH over the _indexed rows
+        # The store. _live[h] is False once handle h is deleted. _indexed
+        # holds the rows of the ascending handles _indexed_ids; _buffer
+        # the rows inserted since the last rebuild, in order. A rebuild
+        # takes every live point, so the buffered handles are exactly
+        # [_next_id - len(_buffer), _next_id).
+        self._live = np.empty(0, dtype=bool)
+        self._indexed = self._buffer = np.empty((0, 0))
         self._indexed_ids = np.empty(0, dtype=np.int64)
-        self._indexed_ids_sorted = np.empty(0, dtype=np.int64)
-        self._buffer = []           # list of (handle, vector)
-        self._deleted = set()
-        # Sorted int64 mirror of _deleted: vectorized filtering uses this
-        # array directly instead of rebuilding list(self._deleted) per call.
-        self._tombstones = np.empty(0, dtype=np.int64)
-        self._deleted_indexed = 0   # tombstones referring to indexed rows
         self._next_id = 0
         self.rebuilds = 0
 
@@ -104,10 +107,13 @@ class UpdatableC2LSH:
         points = self._coerce_points(points)
         if self._dim is None:
             self._dim = points.shape[1]
+            self._indexed = self._buffer = np.empty((0, self._dim))
         handles = np.arange(self._next_id, self._next_id + points.shape[0],
                             dtype=np.int64)
         self._next_id += points.shape[0]
-        self._buffer.extend(zip(handles.tolist(), points))
+        self._buffer = np.concatenate((self._buffer, points))
+        self._live = np.concatenate(
+            (self._live, np.ones(points.shape[0], dtype=bool)))
         self._maybe_rebuild()
         return handles
 
@@ -115,7 +121,7 @@ class UpdatableC2LSH:
         """Validate one handle or an iterable; returns a list of ints.
 
         Validation happens before any mutation, so a :class:`KeyError`
-        leaves the tombstone set untouched (and lets the durable facade
+        leaves the live mask untouched (and lets the durable facade
         refuse to log invalid deletes).
         """
         if np.isscalar(handles):
@@ -129,26 +135,15 @@ class UpdatableC2LSH:
         return out
 
     def delete(self, handles):
-        """Tombstone one handle or an iterable of handles."""
-        fresh = [h for h in self._coerce_handles(handles)
-                 if h not in self._deleted]
-        if not fresh:
-            return
-        self._deleted.update(fresh)
-        fresh = np.asarray(sorted(set(fresh)), dtype=np.int64)
-        self._tombstones = np.union1d(self._tombstones, fresh)
-        if self._indexed_ids_sorted.size:
-            pos = np.searchsorted(self._indexed_ids_sorted, fresh)
-            pos = np.minimum(pos, self._indexed_ids_sorted.size - 1)
-            self._deleted_indexed += int(
-                np.count_nonzero(self._indexed_ids_sorted[pos] == fresh)
-            )
+        """Delete one handle or an iterable of handles.
+
+        Deleting a handle that is already gone is a no-op.
+        """
+        self._live[self._coerce_handles(handles)] = False
 
     def __len__(self):
         """Number of live (inserted minus deleted) points."""
-        live_buffer = sum(1 for h, _ in self._buffer
-                          if h not in self._deleted)
-        return live_buffer + self._indexed_ids.size - self._deleted_indexed
+        return int(np.count_nonzero(self._live))
 
     def _maybe_rebuild(self):
         indexed = self._indexed_ids.size
@@ -160,32 +155,58 @@ class UpdatableC2LSH:
         self._rebuild()
 
     def _rebuild(self):
-        rows = []
-        handles = []
-        if self._indexed is not None:
-            for handle, row in zip(self._indexed_ids, self._indexed):
-                if int(handle) not in self._deleted:
-                    rows.append(row)
-                    handles.append(int(handle))
-        for handle, row in self._buffer:
-            if handle not in self._deleted:
-                rows.append(row)
-                handles.append(handle)
-        self._buffer = []
-        self._deleted = set()
-        self._tombstones = np.empty(0, dtype=np.int64)
-        self._deleted_indexed = 0
-        if not rows:
-            self._index = None
-            self._indexed = None
-            self._indexed_ids = np.empty(0, dtype=np.int64)
-            self._indexed_ids_sorted = np.empty(0, dtype=np.int64)
-            return
-        self._indexed = np.vstack(rows)
-        self._indexed_ids = np.asarray(handles, dtype=np.int64)
-        self._indexed_ids_sorted = np.sort(self._indexed_ids)
-        self._index = C2LSH(**self._kwargs).fit(self._indexed)
-        self.rebuilds += 1
+        first = self._next_id - len(self._buffer)
+        indexed = self._live[self._indexed_ids]
+        buffered = self._live[first:]
+        self._indexed = np.concatenate((self._indexed[indexed],
+                                        self._buffer[buffered]))
+        self._indexed_ids = np.concatenate((self._indexed_ids[indexed],
+                                            first + np.flatnonzero(buffered)))
+        self._buffer = np.empty((0, self._dim))
+        self._index = None
+        if self._indexed_ids.size:
+            self._index = C2LSH(**self._kwargs).fit(self._indexed)
+            self.rebuilds += 1
+
+    # -- checkpoints --------------------------------------------------------
+
+    def _state(self):
+        """``(dim, next_id, rebuilds, arrays)``, the checkpoint format of
+        :mod:`repro.durability.checkpoint`: ``dim`` is -1 before the first
+        insert, ``tombstones`` the deleted indexed and buffered handles."""
+        held = np.concatenate((self._indexed_ids, np.arange(
+            self._next_id - len(self._buffer), self._next_id,
+            dtype=np.int64)))
+        dim = -1 if self._dim is None else self._dim
+        return dim, self._next_id, self.rebuilds, {
+            "indexed": self._indexed,
+            "indexed_ids": self._indexed_ids,
+            "buffer_rows": self._buffer,
+            "buffer_handles": held[self._indexed_ids.size:],
+            "tombstones": held[~self._live[held]],
+        }
+
+    @classmethod
+    def _from_state(cls, dim, next_id, rebuilds, arrays, **options):
+        """The index whose :meth:`_state` this is (``options`` go to the
+        constructor). Live are the indexed and buffered handles minus
+        ``tombstones``, which may also name handles a rebuild dropped."""
+        index = cls(**options)
+        index._dim = dim if dim >= 0 else None
+        index._next_id = next_id
+        index.rebuilds = rebuilds
+        index._indexed = np.ascontiguousarray(arrays["indexed"],
+                                              dtype=np.float64)
+        index._indexed_ids = np.asarray(arrays["indexed_ids"],
+                                        dtype=np.int64)
+        index._buffer = np.asarray(arrays["buffer_rows"], dtype=np.float64)
+        index._live = np.zeros(next_id, dtype=bool)
+        index._live[index._indexed_ids] = True
+        index._live[next_id - len(index._buffer):] = True
+        index._live[np.asarray(arrays["tombstones"], dtype=np.int64)] = False
+        if index._indexed_ids.size:
+            index._index = C2LSH(**index._kwargs).fit(index._indexed)
+        return index
 
     # -- queries -------------------------------------------------------------
 
@@ -208,28 +229,26 @@ class UpdatableC2LSH:
         ids = []
         dists = []
         stats = QueryStats(terminated_by="merged")
+        first = self._next_id - len(self._buffer)
         if self._index is not None:
-            # Over-fetch only for tombstones that can actually displace an
-            # indexed answer (buffered deletes never appear in the main
-            # index), and never ask the inner index for more than it holds.
-            fetch = min(self._indexed_ids.size, k + self._deleted_indexed)
-            main = self._index.query(query, k=fetch, budget=budget)
+            # Over-fetch for the indexed handles deleted since the rebuild
+            # (every live handle below ``first`` is indexed), and never
+            # ask the inner index for more than it holds.
+            n_indexed = self._indexed_ids.size
+            deleted = n_indexed - np.count_nonzero(self._live[:first])
+            main = self._index.query(query, k=min(n_indexed, k + deleted),
+                                     budget=budget)
             handles = self._indexed_ids[main.ids]
-            live = ~np.isin(handles, self._tombstones) \
-                if self._deleted_indexed else np.ones(handles.size, dtype=bool)
+            live = self._live[handles]
             ids.append(handles[live])
             dists.append(main.distances[live])
             stats = main.stats
-        live_buffer = [(h, row) for h, row in self._buffer
-                       if h not in self._deleted]
-        if live_buffer:
-            buf_handles = np.array([h for h, _ in live_buffer],
-                                   dtype=np.int64)
-            buf_rows = np.vstack([row for _, row in live_buffer])
-            diff = buf_rows - query
-            ids.append(buf_handles)
-            dists.append(np.sqrt(np.einsum("ij,ij->i", diff, diff)))
-            stats.candidates += len(live_buffer)
+        buffered = np.flatnonzero(self._live[first:])
+        if buffered.size:
+            ids.append(first + buffered)
+            dists.append(kernels.euclidean_distances(self._buffer[buffered],
+                                                     query))
+            stats.candidates += buffered.size
         if not ids:
             raise RuntimeError("index is empty; insert points first")
         return QueryResult.from_candidates(

@@ -2,13 +2,15 @@
 
 A checkpoint is one persist-v2 array container (atomic rename +
 CRC32/dtype/shape manifest, written through
-:func:`repro.core.persist.save_arrays`) capturing the wrapper's *entire*
-mutable state — the indexed matrix and its handle array, the side
-buffer, the tombstones, the next-handle counter and the rebuild count —
-plus the ``wal_seqno`` high-water mark: every WAL record with a sequence
-number at or below it is folded into the snapshot, so recovery replays
-only the records above it (which is what makes replay over a stale,
-un-rotated log idempotent).
+:func:`repro.core.persist.save_arrays`) holding the wrapper's *entire*
+mutable state, as its ``_state``/``_from_state`` pair writes and reads
+it: the indexed matrix and its ascending handles, the buffer matrix and
+its handles (always the range just below the next handle), the deleted
+handles among those (``tombstones``), the next-handle counter and the
+rebuild count — plus the ``wal_seqno`` high-water mark: every WAL record
+with a sequence number at or below it is folded into the snapshot, so
+recovery replays only the records above it (which is what makes replay
+over a stale, un-rotated log idempotent).
 
 The inner :class:`~repro.core.c2lsh.C2LSH` is *not* serialized: it is
 re-fit over the restored indexed matrix with the stored constructor
@@ -25,7 +27,6 @@ import json
 
 import numpy as np
 
-from ..core.c2lsh import C2LSH
 from ..core.persist import load_arrays, save_arrays
 from ..core.updatable import UpdatableC2LSH
 from ..reliability.errors import CorruptIndexError
@@ -45,25 +46,13 @@ def save_checkpoint(path, index, wal_seqno, config=None):
     arguments there). Atomic: a crash mid-save leaves any previous
     checkpoint intact. Returns the path written.
     """
-    dim = index._dim
-    if index._buffer:
-        buffer_rows = np.vstack([row for _, row in index._buffer])
-    else:
-        buffer_rows = np.empty((0, dim if dim is not None else 0))
-    indexed = index._indexed if index._indexed is not None \
-        else np.empty((0, dim if dim is not None else 0))
+    dim, next_id, rebuilds, arrays = index._state()
     config_blob = json.dumps(config if config is not None else {},
                              sort_keys=True).encode("utf-8")
     return save_arrays(path, CHECKPOINT_KIND, {
-        "scalars": np.asarray(
-            [dim if dim is not None else -1, index._next_id,
-             index.rebuilds, int(wal_seqno)], dtype=np.int64),
-        "indexed": np.asarray(indexed, dtype=np.float64),
-        "indexed_ids": np.asarray(index._indexed_ids, dtype=np.int64),
-        "buffer_rows": np.asarray(buffer_rows, dtype=np.float64),
-        "buffer_handles": np.asarray([h for h, _ in index._buffer],
-                                     dtype=np.int64),
-        "tombstones": np.asarray(index._tombstones, dtype=np.int64),
+        "scalars": np.asarray([dim, next_id, rebuilds, int(wal_seqno)],
+                              dtype=np.int64),
+        **arrays,
         "config": np.frombuffer(config_blob, dtype=np.uint8),
     })
 
@@ -72,7 +61,7 @@ def load_checkpoint(path):
     """Restore a snapshot; returns ``(index, wal_seqno, config)``.
 
     The returned :class:`UpdatableC2LSH` is in the exact state captured
-    by :func:`save_checkpoint` — ids, buffer, tombstones and rebuild
+    by :func:`save_checkpoint` — handles, buffer, deletes and rebuild
     counter included (see the module docstring for the one caveat on
     hash-function identity). Damage raises :class:`CorruptIndexError`;
     a missing file propagates as ``FileNotFoundError``.
@@ -89,39 +78,25 @@ def load_checkpoint(path):
             path, "scalars", f"expected 4 scalars, got {scalars.shape}")
     dim, next_id, rebuilds, wal_seqno = (int(v) for v in scalars)
 
-    kwargs = dict(config.get("c2lsh_kwargs", {}))
-    index = UpdatableC2LSH(
-        rebuild_threshold=config.get("rebuild_threshold", 0.2),
-        min_index_size=config.get("min_index_size", 200),
-        **kwargs,
-    )
-    index._dim = dim if dim >= 0 else None
-    index._next_id = next_id
-
-    indexed = np.ascontiguousarray(blob["indexed"], dtype=np.float64)
-    indexed_ids = np.asarray(blob["indexed_ids"], dtype=np.int64)
-    if indexed.shape[0] != indexed_ids.size:
+    n_indexed, n_buffered = len(blob["indexed"]), len(blob["buffer_rows"])
+    if blob["indexed_ids"].size != n_indexed:
         raise CorruptIndexError(
             path, "indexed_ids",
-            f"{indexed_ids.size} handles for {indexed.shape[0]} rows")
-    if indexed.shape[0]:
-        index._indexed = indexed
-        index._indexed_ids = indexed_ids
-        index._indexed_ids_sorted = np.sort(indexed_ids)
-        index._index = C2LSH(**kwargs).fit(indexed)
-
-    buffer_rows = np.asarray(blob["buffer_rows"], dtype=np.float64)
-    buffer_handles = np.asarray(blob["buffer_handles"], dtype=np.int64)
-    if buffer_rows.shape[0] != buffer_handles.size:
+            f"{blob['indexed_ids'].size} handles for {n_indexed} rows")
+    if not np.array_equal(blob["buffer_handles"],
+                          np.arange(next_id - n_buffered, next_id)):
         raise CorruptIndexError(
             path, "buffer_handles",
-            f"{buffer_handles.size} handles for {buffer_rows.shape[0]} rows")
-    index._buffer = list(zip(buffer_handles.tolist(), buffer_rows))
-
-    tombstones = np.asarray(blob["tombstones"], dtype=np.int64)
-    index._tombstones = np.sort(tombstones)
-    index._deleted = set(tombstones.tolist())
-    index._deleted_indexed = int(np.isin(tombstones, indexed_ids).sum())
-    # Restored last: the fit above must not perturb the stored count.
-    index.rebuilds = rebuilds
+            f"{n_buffered} buffered rows are not handles "
+            f"[{next_id - n_buffered}, {next_id})")
+    for name in ("indexed_ids", "buffer_handles", "tombstones"):
+        if np.any((blob[name] < 0) | (blob[name] >= next_id)):
+            raise CorruptIndexError(path, name,
+                                    f"handles outside [0, {next_id})")
+    index = UpdatableC2LSH._from_state(
+        dim, next_id, rebuilds, blob,
+        rebuild_threshold=config.get("rebuild_threshold", 0.2),
+        min_index_size=config.get("min_index_size", 200),
+        **config.get("c2lsh_kwargs", {}),
+    )
     return index, wal_seqno, config

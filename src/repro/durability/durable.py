@@ -19,7 +19,7 @@ container format, and reconstructs the exact pre-crash state on open:
   of a crash mid-append), replays the surviving records above the
   high-water mark through the ordinary ``insert``/``delete`` code paths,
   and raises :class:`~repro.reliability.CorruptIndexError` on mid-log or
-  snapshot damage. Handles, tombstones, the side buffer and the rebuild
+  snapshot damage. Handles, deletes, the side buffer and the rebuild
   counter all come back exactly; with a fixed ``seed`` the rebuilt
   hash tables are bit-identical too.
 
@@ -213,7 +213,7 @@ class DurableUpdatableC2LSH:
         return handles
 
     def delete(self, handles):
-        """Durably tombstone one handle or an iterable of handles."""
+        """Durably delete one handle or an iterable of handles."""
         handles = self._inner._coerce_handles(handles)
         self._wal.append(
             DELETE, encode_delete(np.asarray(handles, dtype=np.int64)))

@@ -37,12 +37,11 @@ from repro.core.adaptive import (
     _chunk_bounds,
     as_probe_config,
     check_adaptive_supported,
-    collide_levels,
     estimate_start_levels,
     merge_start_levels,
-    occupancy_table,
     probe_order,
     saturation_level,
+    start_payload,
 )
 from repro.core.explain import QueryExplanation, explain_sharded
 from repro.data import exact_knn, load_profile
@@ -141,7 +140,7 @@ class TestEstimator:
         index = build(data)
         counter = index._counter
         qids = self._qids(index, queries)
-        got = collide_levels(counter, qids, index.params.c)
+        got = start_payload(counter, qids, index.params.c)["collide"]
         sat = saturation_level(counter.id_span, index.params.c)
         for qi in range(qids.shape[0]):
             for t in range(counter.m):
@@ -161,7 +160,7 @@ class TestEstimator:
         counter = index._counter
         qids = self._qids(index, queries)
         c = index.params.c
-        occ = occupancy_table(counter, qids, c)
+        occ = start_payload(counter, qids, c)["occ"]
         sat = saturation_level(counter.id_span, c)
         assert occ.shape == (qids.shape[0], sat + 1)
         for qi in range(qids.shape[0]):
@@ -192,8 +191,8 @@ class TestEstimator:
         k = 3
         levels = estimate_start_levels(counter, qids, params.l, params.c,
                                        k=k)
-        coll = collide_levels(counter, qids, params.c)
-        occ = occupancy_table(counter, qids, params.c)
+        payload = start_payload(counter, qids, params.c)
+        coll, occ = payload["collide"], payload["occ"]
         for qi in range(qids.shape[0]):
             for t in range(int(levels[qi])):
                 nonempty = int(np.sum(coll[qi] <= t))
@@ -209,11 +208,7 @@ class TestEstimator:
         counter = index._counter
         params = index.params
         qids = self._qids(index, queries)
-        payload = {
-            "collide": collide_levels(counter, qids, params.c),
-            "occ": occupancy_table(counter, qids, params.c),
-            "total": counter.m * counter.n,
-        }
+        payload = start_payload(counter, qids, params.c)
         expect = estimate_start_levels(counter, qids, params.l, params.c,
                                        k=2)
         got = merge_start_levels([payload], params.l, params.l * 2)

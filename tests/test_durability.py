@@ -3,7 +3,7 @@
 Covers the exact byte-level framing contract (torn tails are repaired,
 mid-log corruption raises), the checkpoint protocol's crash windows, the
 fault-injected kill-mid-record path, and the satellite fixes to
-``UpdatableC2LSH`` (over-fetch, budget threading, tombstone arrays).
+``UpdatableC2LSH`` (over-fetch, budget threading, validate-before-mutate).
 """
 
 import os
@@ -22,9 +22,11 @@ from repro import (
     QueryBudget,
     TransientIOError,
 )
+from repro.core.persist import load_arrays, save_arrays
 from repro.core.updatable import UpdatableC2LSH
 from repro.durability import (
     CHECKPOINT_BEGIN,
+    CHECKPOINT_KIND,
     DELETE,
     INSERT,
     WriteAheadLog,
@@ -43,7 +45,7 @@ from repro.durability.wal import (
 DIM = 8
 HEADER_SIZE = 16  # magic + version + base seqno
 
-#: CI sweeps this (see the ``durability`` job): it shifts the RNG streams
+#: CI sweeps this (see the ``chaos`` job): it shifts the RNG streams
 #: feeding the fault-injected crash tests so each matrix leg kills the
 #: writer at different points with different data.
 CHAOS_SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
@@ -207,9 +209,9 @@ class TestCheckpoint:
         assert len(restored) == len(index)
         assert restored._next_id == index._next_id
         assert restored.rebuilds == index.rebuilds
-        assert restored._deleted == index._deleted
+        assert np.array_equal(restored._live, index._live)
         assert np.array_equal(restored._indexed_ids, index._indexed_ids)
-        assert len(restored._buffer) == len(index._buffer)
+        assert np.array_equal(restored._buffer, index._buffer)
         q = rng.standard_normal(DIM)
         a, b = index.query(q, k=5), restored.query(q, k=5)
         assert np.array_equal(a.ids, b.ids)
@@ -231,6 +233,24 @@ class TestCheckpoint:
         (tmp_path / "state.npz").write_bytes(bytes(blob))
         with pytest.raises(CorruptIndexError):
             load_checkpoint(path)
+
+    def test_handles_contradicting_the_store_raise_corrupt(self, tmp_path):
+        """CRC-valid but wrongly written handles are refused by section:
+        buffered handles must be the range ending at the next handle, and
+        every stored handle must lie below it."""
+        rng = np.random.default_rng(0)
+        index = UpdatableC2LSH(seed=0, min_index_size=60)
+        index.insert(rng.standard_normal((80, DIM)))
+        index.insert(rng.standard_normal((5, DIM)))  # buffered
+        path = save_checkpoint(tmp_path / "state.npz", index, wal_seqno=0)
+        good = load_arrays(path, CHECKPOINT_KIND)
+        for name, bad in (("buffer_handles", good["buffer_handles"] - 1),
+                          ("tombstones", np.array([-1])),
+                          ("indexed_ids", good["indexed_ids"] + 85)):
+            save_arrays(path, CHECKPOINT_KIND, {**good, name: bad})
+            with pytest.raises(CorruptIndexError) as err:
+                load_checkpoint(path)
+            assert err.value.section == name
 
 
 class TestDurableIndex:
@@ -425,11 +445,10 @@ class TestUpdatableSatellites:
         assert index._index is not None
         return index, handles
 
-    def test_overfetch_counts_only_indexed_tombstones(self, rng):
+    def test_overfetch_counts_only_indexed_deletes(self, rng):
         index, handles = self._built(rng)
         extra = index.insert(rng.standard_normal((10, DIM)))  # buffered
-        index.delete(extra)          # tombstones refer only to the buffer
-        assert index._deleted_indexed == 0
+        index.delete(extra)          # deletes touch only the buffer
         seen = {}
         inner_query = index._index.query
         index._index.query = \
@@ -440,7 +459,6 @@ class TestUpdatableSatellites:
     def test_overfetch_capped_at_indexed_size(self, rng):
         index, handles = self._built(rng, n=70)
         index.delete(handles[:65])
-        assert index._deleted_indexed == 65
         seen = {}
         inner_query = index._index.query
         index._index.query = \
@@ -465,27 +483,15 @@ class TestUpdatableSatellites:
         result = index.query(rng.standard_normal(DIM), k=3)
         assert not result.stats.degraded
 
-    def test_tombstone_array_stays_sorted_mirror(self, rng):
-        index, handles = self._built(rng)
-        victims = [int(handles[i]) for i in (40, 3, 77, 3, 12)]
-        index.delete(victims)
-        assert index._tombstones.dtype == np.int64
-        assert np.array_equal(index._tombstones, np.unique(victims))
-        assert set(index._tombstones.tolist()) == index._deleted
-        index.delete(int(handles[2]))
-        assert np.array_equal(index._tombstones,
-                              np.unique(victims + [int(handles[2])]))
-
     def test_rebuild_clears_tombstone_state(self, rng):
         index, handles = self._built(rng)
         index.delete(handles[:20])
         index._rebuild()
-        assert index._tombstones.size == 0
-        assert index._deleted_indexed == 0
         assert len(index) == 130
+        assert not np.isin(handles[:20], index._indexed_ids).any()
 
     def test_delete_validates_before_mutating(self, rng):
         index, handles = self._built(rng)
         with pytest.raises(KeyError):
             index.delete([int(handles[0]), 10_000])
-        assert index._deleted == set() and index._tombstones.size == 0
+        assert len(index) == 150

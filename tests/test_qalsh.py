@@ -76,6 +76,19 @@ class TestQALSHIndex:
         result = index.query(queries[0], k=5)
         assert len(result) == 5
 
+    def test_final_radius_is_the_real_grid_radius(self, clustered):
+        """At c = 1.5 the radii are 1, 1.5, 2.25, ...: ``final_radius`` is
+        the last round's radius itself, not its integer part."""
+        data, queries = clustered
+        shifted = queries + np.random.default_rng(1).normal(0, 40, 20)
+        index = QALSH(c=1.5, seed=0).fit(data)
+        grid = [1]
+        for _ in range(63):
+            grid.append(grid[-1] * 1.5)
+        for q in np.vstack([queries, shifted]):
+            stats = index.query(q, k=10).stats
+            assert stats.final_radius == grid[stats.rounds - 1]
+
     def test_exact_match_found(self, clustered):
         data, _ = clustered
         index = QALSH(seed=0).fit(data)

@@ -11,7 +11,7 @@ also be observable (``shard.failover.*`` counters, ``worker_failure``
 flight dumps) and leak-free (worker pools and the shared-memory segment
 are released even when the build itself dies).
 
-``REPRO_CHAOS_SEED`` (the CI worker-kill matrix varies it) picks which
+``REPRO_CHAOS_SEED`` (the CI ``chaos`` job varies it) picks which
 worker dies in the multi-worker tests — changing which shards are lost,
 what replays, and what a degraded answer may cite — while every kill
 schedule stays deterministic for a fixed seed. Serial-runner tests cover
@@ -394,6 +394,35 @@ def test_process_sigkill_mid_stream_rebuild(tiny):
         report = eng.healthcheck()
         assert all(info["ok"] for info in report.values())
         assert eng.worker_pids()[0] != victim
+
+
+@pytest.mark.shard
+@pytest.mark.parametrize("policy", ["rebuild", "degrade", "raise"])
+def test_process_sigkill_between_blocks_per_policy(policy):
+    """A real SIGKILL between two blocks under each failure policy:
+    ``rebuild`` answers as before, ``degrade`` flags every answer with
+    its lost shards, ``raise`` fails fast; every policy counts it."""
+    rng = np.random.default_rng(CHAOS_SEED)
+    data = rng.standard_normal((2000, 16))
+    queries = rng.standard_normal((8, 16))
+    with ShardedC2LSH(n_shards=4, n_workers=2, seed=0,
+                      on_worker_failure=policy).fit(data) as eng:
+        baseline = eng.query_batch(queries, k=5)
+        os.kill(eng.worker_pids()[CHAOS_SEED % 2], signal.SIGKILL)
+        time.sleep(0.2)
+        if policy == "raise":
+            with pytest.raises(WorkerFailureError):
+                eng.query_batch(queries, k=5)
+        else:
+            healed = eng.query_batch(queries, k=5)
+            if policy == "rebuild":
+                for a, b in zip(baseline, healed):
+                    np.testing.assert_array_equal(a.ids, b.ids)
+            else:
+                assert all(r.stats.degraded and r.stats.failed_shards
+                           for r in healed)
+        snapshot = eng.telemetry_snapshot()
+    assert snapshot.get("shard.failover.failures", 0) >= 1
 
 
 @pytest.mark.shard

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.core.updatable import UpdatableC2LSH
 from repro.data import exact_knn
 
@@ -85,6 +86,21 @@ class TestQuery:
         index.delete(target)
         result = index.query(data[7], k=10)
         assert target not in result.ids
+
+    def test_buffered_distances_have_the_kernels_bits(self):
+        """A point's distance does not change bits when a rebuild moves it
+        from the buffer into the index: both go through one kernel."""
+        rng = np.random.default_rng(0)
+        data = 3 * rng.standard_normal((120, 24))
+        index = make_index(min_index_size=100, rebuild_threshold=0.3)
+        index.insert(data[:100])
+        index.insert(data[100:])
+        assert index.rebuilds == 1 and len(index._buffer) == 20
+        for q in 3 * rng.standard_normal((20, 24)):
+            result = index.query(q, k=120)
+            assert np.array_equal(
+                result.distances,
+                kernels.euclidean_distances(data[result.ids], q))
 
     def test_delete_from_buffer(self, rng):
         index = make_index(min_index_size=10, rebuild_threshold=1.0)
