@@ -10,8 +10,10 @@ simultaneously —
 * one batched binary search answers all ``Q × m`` interval extensions per
   round (:func:`repro.storage.vsearch.row_searchsorted` with a ``(Q, m)``
   target matrix);
-* one flat ``bincount`` over ``(query, object)`` pairs accumulates all
-  collision-count deltas, instead of ``Q`` separate bincounts;
+* one counting pass updates all ``Q`` queries' collision counts — code
+  comparisons, a matrix product over the tables' one-hot codes, or a
+  gather of the newly covered entries, whichever :func:`_cheapest`
+  estimates cheapest (:meth:`BatchQueryCounter.expand`);
 * queries that terminate (T1/T2/exhausted) drop out of the active set
   while the rest keep expanding.
 
@@ -73,11 +75,36 @@ __all__ = ["BatchQueryCounter", "WithinRadiusTally", "QueryState",
            "LocalRounds", "QueryRounds", "drive_block", "batch_query",
            "MAX_ROUNDS"]
 
-#: Rounds touching more than ``A * m * n / _DENSE_CUTOVER`` entries use the
-#: dense rank-comparison counting kernel; lighter rounds gather the newly
-#: covered entries instead. Calibrated from the measured per-cell vs
-#: per-entry cost ratio of the two kernels (~7x).
-_DENSE_CUTOVER = 6
+#: Estimated nanoseconds per unit of work of each counting strategy,
+#: measured with one BLAS thread on 2 vCPUs over the color, nus and mnist
+#: profiles at radius 1 (docs/PERFORMANCE.md, "Counting strategies"):
+#: compare 0.45-0.56 ns per (query, table, object) code comparison;
+#: product 1.1 ns per (code, object) cell of the one-hot matrix — building
+#: it and the product's pass over it — plus 0.015 ns per multiply-add;
+#: sparse 8-16 ns per newly covered entry gathered and bincounted.
+_NS_COMPARE = 0.5
+_NS_ONEHOT = 1.1
+_NS_MULADD = 0.015
+_NS_GATHER = 12.0
+
+#: Objects per column block of the product's one-hot matrix, at most:
+#: the block holds ``2**20`` float32 cells (4 MiB) whatever the code count.
+_ONEHOT_CELLS = 1 << 20
+
+
+def _cheapest(A, m, n, S, total):
+    """The counting strategy with the least estimated cost.
+
+    ``A`` queries over ``m`` tables of ``n`` objects with ``S`` codes in
+    all; ``total`` newly covered entries. ``"compare"`` and ``"product"``
+    recompute all ``A x n`` counts (:func:`repro.kernels.dense_counts`),
+    ``"sparse"`` gathers only the new entries
+    (:func:`repro.kernels.sparse_counts`). Ties go to the earlier name.
+    """
+    costs = {"sparse": _NS_GATHER * total,
+             "compare": _NS_COMPARE * A * m * n,
+             "product": n * S * (_NS_ONEHOT + _NS_MULADD * A)}
+    return min(costs, key=costs.get)
 
 
 class WithinRadiusTally:
@@ -147,7 +174,9 @@ class BatchQueryCounter:
         self._started = False
         self.radius = 0
         self._last_active = None
-        self._last_prev = None
+        # The active rows' counts before the last expand(), for crossings.
+        self._prev = np.empty_like(self.counts)
+        self._onehot = None
 
     def _segments(self, radius, active, tables, lo_new, hi_new):
         """Scan segments growing ``active``'s selected cells to ``radius``.
@@ -204,14 +233,16 @@ class BatchQueryCounter:
         probed cells, and probing a round in chunks charges exactly what
         one full expansion would (same segment set, split across calls).
 
-        Counting is adaptive. Heavy rounds (typically the first, whose
-        radius-1 buckets in high dimension hold a large fraction of the
-        database) recompute all ``(A, n)`` counts with two comparisons per
-        cell against the cached rank matrix — O(A*m*n) independent of how
-        many entries the intervals cover. Light rounds gather only the
-        newly covered entries and bincount them — O(touched). Both produce
-        the exact counts the sequential incremental path maintains; the
-        I/O and scanned-entry accounting below is shared and unaffected.
+        Counting takes the strategy :func:`_cheapest` estimates cheapest
+        for the call. Heavy rounds (typically the first, whose radius-1
+        buckets in high dimension hold a large fraction of the database)
+        recompute all ``(A, n)`` counts from each cell's code window,
+        independent of how many entries the intervals cover: by per-query
+        code comparisons for a few queries, as one matrix product for
+        more. Light rounds gather only the newly covered entries and
+        bincount them. All three produce the exact counts the sequential
+        incremental path maintains; the I/O and scanned-entry accounting
+        below is shared and runs before any of them.
         """
         radius = int(radius)
         index = self._index
@@ -242,18 +273,23 @@ class BatchQueryCounter:
         lo_m = np.where(sel, lo_new, self._lo[active])
         hi_m = np.where(sel, hi_new, self._hi[active])
         total = int(lengths.sum())
-        prev = self.counts[active].copy()
-        if total * _DENSE_CUTOVER >= A * m * n:
-            self.counts[active] = self._dense_counts(lo_m, hi_m)
-        elif total:
-            self._sparse_add(active, seg_q, seg_t, seg_lo, lengths)
+        np.take(self.counts, active, axis=0, out=self._prev[:A])
+        how = _cheapest(A, m, n, int(index.code_widths.sum()), total)
+        if how == "sparse":
+            if total:
+                self.counts[active] += kernels.sparse_counts(
+                    index.order, seg_q, seg_t, seg_lo, lengths, A)
+        else:
+            wlo, whi = index.code_windows(lo_m, hi_m)
+            self.counts[active] = kernels.dense_counts(
+                index.codes, index.code_widths, wlo, whi,
+                self._onehot_block() if how == "product" else None)
         self._lo[active] = lo_m
         self._hi[active] = hi_m
         self._covered[active] |= sel
         self._started = True
         self.radius = radius
         self._last_active = active
-        self._last_prev = prev
         return scanned, pages_per_query
 
     def peek_pages(self, radius, active, tables=None):
@@ -282,24 +318,14 @@ class BatchQueryCounter:
         return np.bincount(seg_q, weights=pages,
                            minlength=A).astype(np.int64)
 
-    def _dense_counts(self, lo, hi):
-        """Absolute counts at the current intervals via rank comparisons.
-
-        By interval nesting these equal the incrementally accumulated
-        counts: object ``o`` collides with query ``i`` in table ``j`` iff
-        its position ``rank[j, o]`` lies in ``[lo[i, j], hi[i, j])``.
-        """
-        return kernels.dense_counts(self._index.rank, lo, hi)
-
-    def _sparse_add(self, active, seg_q, seg_t, seg_lo, lengths):
-        """Gather newly covered entries and accumulate them onto the counts.
-
-        Delegated to :func:`repro.kernels.sparse_counts`, which bincounts
-        query-banded chunks into one preallocated ``A * n`` buffer.
-        """
-        delta = kernels.sparse_counts(self._index.order, seg_q, seg_t,
-                                      seg_lo, lengths, active.size)
-        self.counts[active] += delta
+    def _onehot_block(self):
+        """The product's column block of the one-hot matrix, allocated on
+        first use and reused by every later product of this block."""
+        if self._onehot is None:
+            n_codes = int(self._index.code_widths.sum())
+            width = max(1, min(self._index.n, _ONEHOT_CELLS // n_codes))
+            self._onehot = np.empty((n_codes, width), dtype=np.float32)
+        return self._onehot
 
     def crossings(self, threshold):
         """``(query, object)`` pairs that crossed ``threshold`` last round.
@@ -308,11 +334,12 @@ class BatchQueryCounter:
         array; pairs come out sorted by query then ascending object id —
         the same order ``QueryCounter.newly_frequent`` yields per query.
         """
-        if self._last_prev is None:
+        active = self._last_active
+        if active is None:
             return (np.empty(0, dtype=np.int64),
                     np.empty(0, dtype=np.int64))
-        return kernels.crossings(self.counts[self._last_active],
-                                 self._last_prev, threshold)
+        return kernels.crossings(self.counts[active],
+                                 self._prev[:active.size], threshold)
 
     def exhausted_mask(self, active):
         """Per-active-query flag: every table already covers all entries."""

@@ -152,8 +152,10 @@ class C2LSH:
         self._family, self._funcs, self.params = family, funcs, params
         self._scale = scale
         self._data = data
-        self._counter = CollisionCounter(funcs.hash(self._hash_view(data)),
-                                         self._pm)
+        # ``pop`` hands the counter the only reference to the hashes, so
+        # its build can drop them once they are coded.
+        self._counter = CollisionCounter(
+            [funcs.hash(self._hash_view(data))].pop, self._pm)
         # The data file charges its own build write and verification reads.
         self._datafile = DataFile(data, self._pm, layout=self._data_layout)
         return self

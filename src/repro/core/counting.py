@@ -1,10 +1,11 @@
 """Dynamic collision counting with virtual rehashing.
 
-The engine keeps one sorted bucket file per LSH function (the layout of
-:class:`repro.storage.SortedHashTable`, held as stacked ``(m, n)`` arrays so
-all ``m`` lookups vectorize). For a query ``q`` and search radius ``R`` (an
-integer from the grid ``{1, c, c^2, ...}``), the radius-``R`` bucket of
-``q`` under table ``j`` is the contiguous base-id interval::
+The engine keeps one sorted bucket file per LSH function: the table's
+``(bucket_id, object_id)`` entries sorted by bucket id (the layout sized by
+:data:`repro.storage.hashfile.ENTRY_BYTES`), held as stacked ``(m, n)``
+arrays so all ``m`` lookups vectorize. For a query ``q`` and search radius
+``R`` (an integer from the grid ``{1, c, c^2, ...}``), the radius-``R``
+bucket of ``q`` under table ``j`` is the contiguous base-id interval::
 
     anchor = floor(q_j / R) * R        # q's radius-R bucket, as base ids
     [anchor, anchor + R)
@@ -17,6 +18,12 @@ table (left and right extensions), which is what makes virtual rehashing
 cheap. ``incremental=False`` re-scans every table's full interval at each
 radius — identical answers, strictly more I/O — and exists for the A2
 ablation.
+
+Every table's bucket ids are also held as small unsigned *codes*, one per
+object, that preserve the ids' order (:class:`CollisionCounter`). A covered
+interval is a window of codes (:meth:`CollisionCounter.code_windows`), and
+the batch engine's dense counting kernel compares codes against windows
+instead of gathering the interval's entries.
 
 All ``m`` binary searches per radius step run in lockstep via
 :func:`repro.storage.vsearch.row_searchsorted`; bucket-scan I/O is charged
@@ -40,9 +47,27 @@ MAX_ROUNDS = 64
 
 
 class CollisionCounter:
-    """Index-side state: ``m`` sorted hash tables over ``n`` objects."""
+    """Index-side state: ``m`` sorted hash tables over ``n`` objects.
+
+    Besides each table's sorted bucket file (:attr:`order`,
+    :attr:`sorted_ids`), every object has a *code* per table
+    (:attr:`codes`) that preserves the order of the table's ids and maps
+    distinct ids to distinct codes, so a run of whole buckets is a window
+    of codes. When every table spans at most 65,536 ids, an object's code
+    is its id minus the table's smallest id, in the narrower of uint8 and
+    uint16 that holds every table: numpy sorts 8- and 16-bit keys with a
+    stable radix sort, and a stable sort of ``id - min`` is the same
+    permutation as a stable sort of ``id``. Otherwise the int64 ids are
+    sorted and an object's code is the rank of its id among the table's
+    distinct ids (below ``n``), so no code range is sized by the raw span.
+    """
 
     def __init__(self, bucket_ids, page_manager=None, entry_bytes=ENTRY_BYTES):
+        # ``bucket_ids`` may be a callable returning the ids: when the build
+        # then holds the only reference, it drops the int64 ids once they
+        # are coded, one ``(n, m)`` int64 array off the build's peak.
+        if callable(bucket_ids):
+            bucket_ids = bucket_ids()
         bucket_ids = np.asarray(bucket_ids, dtype=np.int64)
         if bucket_ids.ndim != 2:
             raise ValueError(
@@ -51,13 +76,35 @@ class CollisionCounter:
         self.n, self.m = bucket_ids.shape
         if self.n == 0:
             raise ValueError("cannot index an empty database")
-        columns = bucket_ids.T  # (m, n)
-        self.order = np.argsort(columns, axis=1, kind="stable")
-        self.sorted_ids = np.take_along_axis(columns, self.order, axis=1)
-        self._rank = None
         #: Global bucket-id span; see _intervals_at for the saturation
         #: rule that keeps huge radii well-defined.
         self.id_span = int(bucket_ids.max()) - int(bucket_ids.min())
+        columns = bucket_ids.T  # (m, n)
+        low = columns.min(axis=1, keepdims=True)
+        # Spans as unsigned: exact even where an int64 difference would wrap.
+        spans = (columns.max(axis=1, keepdims=True) - low).view(np.uint64)
+        dtype = np.min_scalar_type(int(spans.max()))
+        if dtype.itemsize <= 2:
+            codes = np.empty(columns.shape, dtype=dtype)
+            np.subtract(columns, low, out=codes, casting="unsafe")
+            del bucket_ids, columns  # the sorts below run without them
+            order = np.argsort(codes, axis=1, kind="stable")
+            sorted_ids = np.take_along_axis(codes, order, axis=1) + low
+        else:
+            order = np.argsort(columns, axis=1, kind="stable")
+            sorted_ids = np.take_along_axis(columns, order, axis=1)
+            ranks = np.zeros(columns.shape,
+                             dtype=np.min_scalar_type(self.n - 1))
+            np.cumsum(np.diff(sorted_ids, axis=1) != 0, axis=1,
+                      dtype=ranks.dtype, out=ranks[:, 1:])
+            codes = np.empty_like(ranks)
+            np.put_along_axis(codes, order, ranks, axis=1)
+        #: ``(m, n)`` code of every object in every table, and each
+        #: table's code count (its codes lie in ``[0, code_widths[j])``).
+        self.codes = codes
+        self.code_widths = codes.max(axis=1).astype(np.int64) + 1
+        self.order = order
+        self.sorted_ids = sorted_ids
         self._pm = page_manager
         self._entry_bytes = int(entry_bytes)
         if self._pm is not None:
@@ -66,23 +113,23 @@ class CollisionCounter:
                 site="build",
             )
 
-    @property
-    def rank(self):
-        """``(m, n)`` position of every object in every table's sort order.
+    def code_windows(self, lo, hi):
+        """Closed code windows ``[wlo, whi]`` of position intervals.
 
-        The inverse permutation of :attr:`order`, built lazily (int32,
-        ``4*m*n`` bytes) and cached: the batch engine's dense counting
-        kernel turns "object in covered interval?" into two comparisons
-        against this matrix instead of gathering the interval's entries.
+        ``lo``/``hi`` are ``(A, m)`` intervals ``[lo, hi)`` as
+        :func:`_intervals_at` returns them: runs of whole buckets. So the
+        objects at positions ``[lo, hi)`` of table ``j`` are exactly those
+        whose code lies between the codes at positions ``lo`` and
+        ``hi - 1``. An empty interval maps to ``wlo > whi``. Both results
+        are ``(A, m)`` arrays of the codes' dtype.
         """
-        if self._rank is None:
-            rank = np.empty((self.m, self.n), dtype=np.int32)
-            np.put_along_axis(
-                rank, self.order,
-                np.arange(self.n, dtype=np.int32)[None, :], axis=1,
-            )
-            self._rank = rank
-        return self._rank
+        rows = np.arange(self.m)
+        wlo = self.codes[rows, self.order[rows, np.minimum(lo, self.n - 1)]]
+        whi = self.codes[rows, self.order[rows, np.maximum(hi - 1, 0)]]
+        empty = hi <= lo
+        wlo[empty] = 1
+        whi[empty] = 0
+        return wlo, whi
 
     def storage_pages(self, page_manager):
         """Total pages occupied by all hash-table entry files."""

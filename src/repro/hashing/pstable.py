@@ -55,7 +55,8 @@ class PStableFunctions(LSHFunctions):
     def hash(self, points):
         """Quantize projections into integer bucket ids at base radius."""
         proj = self.project(points)
-        return np.floor(proj / self.w).astype(np.int64)
+        proj /= self.w  # in place: one float64 (n, m) array, not three
+        return np.floor(proj, out=proj).astype(np.int64)
 
 
 class PStableFamily(LSHFamily):

@@ -1,17 +1,19 @@
 """Counting and verification kernels: the hot loops, vectorized in numpy.
 
 The five primitives that dominate C2LSH query wall-clock — lockstep
-row-wise binary search, dense rank-comparison counting, sparse
+row-wise binary search, dense counting over the tables' codes, sparse
 gather/accumulate, threshold scans (crossings + the T1 tally), and
 candidate distance verification — live here, one function each. Every
 kernel validates and dtype-normalizes its inputs, then computes a fully
-specified result: integer kernels as exact comparisons and additions, the
-distance kernels as a fixed balanced fold tree (:func:`_fold_sum`), so
-ids, counts and float64 distances do not depend on how numpy schedules
-the work. Call sites (:mod:`repro.core.batchengine`,
-:mod:`repro.core.counting`, :mod:`repro.core.adaptive`,
-:mod:`repro.core.qalsh`, :mod:`repro.storage.vsearch` and the distance
-of :mod:`repro.hashing.pstable` / :mod:`repro.hashing.cauchy`) route every
+specified result: integer kernels as exact comparisons and additions
+(the dense counts' float32 product adds 0/1 terms into integers below
+``2**24``, exact in any order), the distance kernels as a fixed balanced
+fold tree (:func:`_fold_sum`), so ids, counts and float64 distances do
+not depend on how numpy or BLAS schedules the work. Call sites
+(:mod:`repro.core.batchengine`, :mod:`repro.core.counting`,
+:mod:`repro.core.adaptive`, :mod:`repro.core.qalsh`,
+:mod:`repro.storage.vsearch` and the distance of
+:mod:`repro.hashing.pstable` / :mod:`repro.hashing.cauchy`) route every
 hot call through them.
 
 No kernel calls another public kernel, so a tracer that wraps the public
@@ -31,6 +33,10 @@ __all__ = [
 #: Entries per chunk of the sparse gather: keeps temporaries small enough
 #: for the allocator to recycle instead of faulting fresh pages.
 _GATHER_CHUNK = 1 << 21
+
+#: Objects per block of the code comparison: two ``(m, w)`` bool
+#: temporaries of a few hundred KiB, reused across the block's queries.
+_COMPARE_COLUMNS = 2048
 
 
 def row_searchsorted(sorted_rows, targets, side="left"):
@@ -89,24 +95,56 @@ def row_searchsorted(sorted_rows, targets, side="left"):
     return lo.reshape(targets.shape)
 
 
-def dense_counts(rank, lo, hi):
-    """Absolute collision counts at the covered intervals, ``(A, n)`` int32.
+def dense_counts(codes, widths, wlo, whi, block=None):
+    """Absolute collision counts at per-cell code windows, ``(A, n)`` int32.
 
-    ``rank`` is the ``(m, n)`` per-table sort position of every object;
-    ``lo``/``hi`` are ``(A, m)`` covered position intervals. Object ``o``
-    is counted for query ``i`` once per table ``j`` with
-    ``lo[i, j] <= rank[j, o] < hi[i, j]`` — two integer comparisons per
-    cell, ``O(A * m * n)`` independent of interval width.
+    ``codes`` is the ``(m, n)`` unsigned code of every object in every
+    table, with table ``j``'s codes in ``[0, widths[j])``; ``wlo``/``whi``
+    are ``(A, m)`` closed code windows, empty where ``wlo > whi``. Object
+    ``o`` is counted for query ``i`` once per table ``j`` with
+    ``wlo[i, j] <= codes[j, o] <= whi[i, j]``.
+
+    Without ``block``, each query compares the codes with its windows,
+    ``_COMPARE_COLUMNS`` objects at a time: ``O(A * m * n)`` byte
+    comparisons. With ``block`` — a float32 ``(S, w)`` scratch array,
+    ``S = widths.sum()`` — the counts are the product ``Q @ M``: ``Q`` is
+    the ``(A, S)`` 0/1 matrix of each cell's covered codes and ``M`` the
+    ``(S, n)`` one-hot of the codes, built ``w`` columns at a time in
+    ``block``: ``O(n * S)`` to build plus ``A * n * S`` multiply-adds.
+    Every count is an integer at most ``m < 2**24``, and so is every
+    partial sum, so the float32 sums are exact in any order BLAS adds.
     """
-    rank = np.asarray(rank)
-    lo = np.asarray(lo, dtype=np.int64)
-    hi = np.asarray(hi, dtype=np.int64)
-    A = lo.shape[0]
-    n = rank.shape[1]
+    codes = np.asarray(codes)
+    widths = np.asarray(widths, dtype=np.int64)
+    wlo = np.asarray(wlo, dtype=codes.dtype)
+    whi = np.asarray(whi, dtype=codes.dtype)
+    m, n = codes.shape
+    A = wlo.shape[0]
     out = np.empty((A, n), dtype=np.int32)
-    for i in range(A):
-        out[i] = ((rank >= lo[i][:, None])
-                  & (rank < hi[i][:, None])).sum(axis=0, dtype=np.int32)
+    if block is None:
+        ge = np.empty((m, min(n, _COMPARE_COLUMNS)), dtype=bool)
+        le = np.empty_like(ge)
+        total = np.min_scalar_type(m)  # holds a count of up to m exactly
+        for c0 in range(0, n, _COMPARE_COLUMNS):
+            cols = codes[:, c0:c0 + _COMPARE_COLUMNS]
+            k = cols.shape[1]
+            for i in range(A):
+                np.greater_equal(cols, wlo[i][:, None], out=ge[:, :k])
+                np.less_equal(cols, whi[i][:, None], out=le[:, :k])
+                np.logical_and(ge[:, :k], le[:, :k], out=ge[:, :k])
+                out[i, c0:c0 + k] = np.add.reduce(
+                    ge[:, :k].view(np.uint8), axis=0, dtype=total)
+        return out
+    table = np.repeat(np.arange(m), widths)
+    value = (np.arange(table.size) - np.repeat(np.cumsum(widths) - widths,
+                                               widths)).astype(codes.dtype)
+    q = ((wlo[:, table] <= value) & (value <= whi[:, table])).astype(
+        np.float32)
+    w = block.shape[1]
+    for c0 in range(0, n, w):
+        onehot = block[:, :min(w, n - c0)]
+        np.equal(codes[table, c0:c0 + w], value[:, None], out=onehot)
+        out[:, c0:c0 + onehot.shape[1]] = q @ onehot
     return out
 
 

@@ -9,7 +9,7 @@ from .btree import BPlusTree, LeafCursor
 from .costmodel import HDD, NVME, SSD, DeviceProfile, estimate_seconds
 from .datafile import LAYOUTS, DataFile
 from .extsort import ExternalSorter, external_sort_pages
-from .hashfile import ENTRY_BYTES, SortedHashTable
+from .hashfile import ENTRY_BYTES
 from .pages import DEFAULT_PAGE_SIZE, IOStats, PageManager
 from .vsearch import row_searchsorted
 from .zorder import code_words, deinterleave, interleave, llcp, sort_order
@@ -18,7 +18,6 @@ __all__ = [
     "PageManager",
     "IOStats",
     "DEFAULT_PAGE_SIZE",
-    "SortedHashTable",
     "ENTRY_BYTES",
     "BPlusTree",
     "LeafCursor",

@@ -1,4 +1,4 @@
-"""Disk layout of a single C2LSH hash table.
+"""Disk layout of C2LSH's hash tables.
 
 One hash table per LSH function, stored as the list of ``(bucket_id,
 object_id)`` entries sorted by bucket id. Because virtual rehashing turns a
@@ -9,94 +9,13 @@ one sequential scan — this is exactly why C2LSH needs no physical rehash.
 The bucket-id column doubles as the in-memory directory: position lookups
 are free (the directory is assumed cached, as in the paper), while entry
 scans are charged to the :class:`repro.storage.pages.PageManager`.
+:class:`repro.core.counting.CollisionCounter` holds all ``m`` tables of an
+index in this layout; every index sizes its entries by :data:`ENTRY_BYTES`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = ["SortedHashTable", "ENTRY_BYTES"]
+__all__ = ["ENTRY_BYTES"]
 
 #: Bytes per hash-table entry: 8-byte bucket id + 4-byte object id.
 ENTRY_BYTES = 12
-
-
-class SortedHashTable:
-    """One LSH function's bucket file, sorted by bucket id.
-
-    Parameters
-    ----------
-    bucket_ids:
-        Shape ``(n,)`` int64 array; ``bucket_ids[i]`` is object ``i``'s base
-        bucket under this table's hash function.
-    page_manager:
-        Optional :class:`PageManager` to charge build/scan I/O to. When
-        ``None`` the table runs in pure in-memory mode (no accounting).
-    entry_bytes:
-        On-disk size of one entry (default :data:`ENTRY_BYTES`).
-    """
-
-    def __init__(self, bucket_ids, page_manager=None, entry_bytes=ENTRY_BYTES):
-        bucket_ids = np.asarray(bucket_ids, dtype=np.int64)
-        if bucket_ids.ndim != 1:
-            raise ValueError("bucket_ids must be one-dimensional")
-        self.n = bucket_ids.shape[0]
-        self._order = np.argsort(bucket_ids, kind="stable").astype(np.int64)
-        self._sorted_ids = bucket_ids[self._order]
-        self._pm = page_manager
-        self._entry_bytes = int(entry_bytes)
-        if self._pm is not None:
-            # Building the table writes the whole entry file once.
-            self._pm.charge_write(self._pm.pages_for(self.n, self._entry_bytes))
-
-    @property
-    def min_bucket(self):
-        """Smallest bucket id present (0 for an empty table)."""
-        return int(self._sorted_ids[0]) if self.n else 0
-
-    @property
-    def max_bucket(self):
-        """Largest bucket id present (-1 for an empty table)."""
-        return int(self._sorted_ids[-1]) if self.n else -1
-
-    def interval_positions(self, lo_id, hi_id):
-        """Positions ``[lo, hi)`` of entries with bucket id in ``[lo_id, hi_id)``.
-
-        Pure directory lookup — not charged.
-        """
-        if hi_id < lo_id:
-            raise ValueError(f"empty-interval bounds reversed: [{lo_id}, {hi_id})")
-        lo = int(np.searchsorted(self._sorted_ids, lo_id, side="left"))
-        hi = int(np.searchsorted(self._sorted_ids, hi_id, side="left"))
-        return lo, hi
-
-    def read_positions(self, lo, hi, charge=True):
-        """Object ids stored at sorted positions ``[lo, hi)``.
-
-        Charges a sequential scan of the range (at least one page — locating
-        the range lands on its first data page) when ``charge`` is true and a
-        page manager is attached; empty ranges are free.
-        """
-        if not (0 <= lo <= hi <= self.n):
-            raise IndexError(f"positions [{lo}, {hi}) out of range for n={self.n}")
-        if charge and self._pm is not None and hi > lo:
-            self._pm.charge_bucket_scans([hi - lo], self._entry_bytes)
-        return self._order[lo:hi]
-
-    def scan_bucket_range(self, lo_id, hi_id, charge=True):
-        """Object ids whose bucket id lies in ``[lo_id, hi_id)``."""
-        lo, hi = self.interval_positions(lo_id, hi_id)
-        return self.read_positions(lo, hi, charge=charge)
-
-    def storage_pages(self, page_manager=None):
-        """Pages occupied by this table's entry file."""
-        pm = page_manager or self._pm
-        if pm is None:
-            raise ValueError("no page manager available for sizing")
-        return pm.pages_for(self.n, self._entry_bytes)
-
-    def __len__(self):
-        return self.n
-
-    def __repr__(self):
-        return f"SortedHashTable(n={self.n}, entry_bytes={self._entry_bytes})"

@@ -222,27 +222,54 @@ class TestBatchQueryCounter:
         batch.expand(index.params.c, np.arange(1, len(queries)))
         assert np.array_equal(batch.counts[0], frozen)
 
-    def test_dense_and_sparse_kernels_agree(self, tiny):
-        """Force each kernel on the same expansion; counts must match."""
+    def test_dense_and_sparse_kernels_agree(self, tiny, monkeypatch):
+        """Force each counting strategy over the same expansions: radius 1,
+        c and c^2, a masked adaptive chunk, a partial active set and a
+        saturating radius. Counts and crossings must be identical, on an
+        index's tables and on uint16-coded and wide (rank-coded) ones."""
         from repro.core import batchengine
+        from repro.core.counting import CollisionCounter
 
         data, queries = tiny
         index = C2LSH(seed=0).fit(data)
-        qids = index._funcs.hash(index._hash_view(queries))
-        active = np.arange(len(queries))
-        orig = batchengine._DENSE_CUTOVER
-        try:
-            batchengine._DENSE_CUTOVER = 10**9  # never dense
-            sparse = BatchQueryCounter(index._counter, qids)
-            sparse.expand(1, active)
-            sparse.expand(index.params.c, active)
-            batchengine._DENSE_CUTOVER = 0  # always dense
-            dense = BatchQueryCounter(index._counter, qids)
-            dense.expand(1, active)
-            dense.expand(index.params.c, active)
-        finally:
-            batchengine._DENSE_CUTOVER = orig
-        assert np.array_equal(sparse.counts, dense.counts)
+        rng = np.random.default_rng(0)
+        cases = [(index._counter,
+                  index._funcs.hash(index._hash_view(queries)),
+                  index.params.c)]
+        for span in (300, 200_000):
+            ids = rng.integers(-span, span, (150, 9))
+            cases.append((CollisionCounter(ids), ids[:4] + 1, 3))
+        assert {c.codes.dtype for c, _, _ in cases} >= {
+            np.dtype(np.uint8), np.dtype(np.uint16)}
+        assert cases[-1][0].code_widths.max() <= 150  # ranks, not offsets
+        for counter, qids, c in cases:
+            n_queries, m = qids.shape
+            mask = rng.random((n_queries, m)) < 0.5
+            saturating = c ** 2
+            while saturating < 2 * (counter.id_span + 1):
+                saturating *= c
+            everyone = np.arange(n_queries)
+            plan = [(1, everyone, None), (c, everyone, None),
+                    (c * c, everyone, mask), (c * c, everyone, ~mask),
+                    (c ** 3, everyone[1:], None),
+                    (saturating, everyone, None)]
+            runs = {}
+            for how in ("sparse", "compare", "product"):
+                monkeypatch.setattr(batchengine, "_cheapest",
+                                    lambda *args, how=how: how)
+                batch = BatchQueryCounter(counter, qids)
+                steps = []
+                for radius, active, tables in plan:
+                    batch.expand(radius, active, tables=tables)
+                    steps.append((batch.counts.copy(), batch.crossings(2)))
+                runs[how] = steps
+            assert np.all(runs["sparse"][-1][0] == m)  # saturated
+            for how in ("compare", "product"):
+                for (counts, (qs, ids)), (want, (wqs, wids)) in zip(
+                        runs[how], runs["sparse"]):
+                    assert np.array_equal(counts, want)
+                    assert np.array_equal(qs, wqs)
+                    assert np.array_equal(ids, wids)
 
     def test_crossings_sorted_by_query_then_id(self, tiny):
         data, queries = tiny

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.counting import CollisionCounter
+from repro.core.counting import CollisionCounter, _intervals_at
 from repro.storage import PageManager
 
 
@@ -43,6 +43,52 @@ class TestCollisionCounter:
         counter = CollisionCounter(bucket_ids, page_manager=pm)
         assert counter.storage_pages(pm) == 7 * pm.pages_for(120, 12)
         assert pm.stats.writes == counter.storage_pages(pm)
+
+
+class TestTableLayout:
+    """The sorted bucket files of every table, and the codes beside them."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60),
+           m=st.integers(1, 4),
+           span=st.sampled_from([20, 300, 70_000, 2**40]),
+           radius=st.sampled_from([1, 2, 3, 7, 64, 2**20]))
+    @settings(max_examples=80, deadline=None)
+    def test_property_intervals_equal_filter(self, seed, n, m, span,
+                                             radius):
+        """Each covered interval, and its code window, holds exactly the
+        objects a linear filter over the ids finds."""
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(-span, span, size=(n, m))
+        counter = CollisionCounter(ids)
+        assert np.array_equal(counter.order,
+                              np.argsort(ids.T, axis=1, kind="stable"))
+        # No code range is sized by a table's raw span.
+        assert counter.codes.dtype.itemsize <= 2 or counter.codes.max() < n
+        qids = np.concatenate((rng.integers(-span - 5, span + 5, (3, m)),
+                               ids[rng.integers(0, n, 3)]))
+        lo, hi = _intervals_at(counter, qids, radius)
+        wlo, whi = counter.code_windows(lo, hi)
+        saturated = radius >= 2 * (counter.id_span + 1)
+        for i, row in enumerate(qids):
+            for j in range(m):
+                anchor = (row[j] // radius) * radius
+                want = np.flatnonzero(
+                    saturated | ((anchor <= ids[:, j])
+                                 & (ids[:, j] < anchor + radius)))
+                got = counter.order[j, lo[i, j]:hi[i, j]]
+                assert np.array_equal(np.sort(got), want)
+                in_window = np.flatnonzero((wlo[i, j] <= counter.codes[j])
+                                           & (counter.codes[j] <= whi[i, j]))
+                assert np.array_equal(in_window, want)
+
+    def test_code_dtype_follows_widest_table(self):
+        base = np.arange(10)[:, None]
+        assert CollisionCounter(base * [1, 28]).codes.dtype == np.uint8
+        assert CollisionCounter(base * [1, 29]).codes.dtype == np.uint16
+        wide = CollisionCounter(base * [1, 10**6] - 5)
+        assert wide.codes.dtype == np.uint8  # ranks below n = 10
+        assert np.array_equal(wide.codes[1], np.arange(10))
+        assert np.array_equal(wide.code_widths, [10, 10])
 
 
 class TestCountsCorrectness:

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
+from repro.core.counting import CollisionCounter
 
 
 # --------------------------------------------------------------------------
@@ -34,16 +35,34 @@ def _oracle_searchsorted(rows, targets, side):
     return out.reshape(targets.shape)
 
 
-def _oracle_dense(rank, lo, hi):
-    A, m = lo.shape
-    n = rank.shape[1]
-    out = np.zeros((A, n), dtype=np.int32)
+def _oracle_dense(codes, wlo, whi):
+    A, m = wlo.shape
+    out = np.zeros((A, codes.shape[1]), dtype=np.int32)
     for i in range(A):
         for j in range(m):
-            for o in range(n):
-                if lo[i, j] <= rank[j, o] < hi[i, j]:
-                    out[i, o] += 1
+            out[i] += ((int(wlo[i, j]) <= codes[j])
+                       & (codes[j] <= int(whi[i, j])))
     return out
+
+
+def _random_windows(rng, widths, A, dtype):
+    """Closed code windows per (query, table): random, full and empty."""
+    m = widths.size
+    a = rng.integers(0, widths, (A, m))
+    b = rng.integers(0, widths, (A, m))
+    wlo, whi = np.minimum(a, b), np.maximum(a, b)
+    kind = rng.integers(0, 4, (A, m))
+    wlo[kind == 1], whi[kind == 1] = 0, (widths - 1)[
+        np.nonzero(kind == 1)[1]]
+    wlo[kind == 2], whi[kind == 2] = 1, 0  # empty
+    return wlo.astype(dtype), whi.astype(dtype)
+
+
+def _both_dense(codes, widths, wlo, whi, block_cols):
+    """dense_counts' comparison and product results, in that order."""
+    block = np.empty((int(widths.sum()), block_cols), dtype=np.float32)
+    return (kernels.dense_counts(codes, widths, wlo, whi),
+            kernels.dense_counts(codes, widths, wlo, whi, block))
 
 
 def _oracle_sparse(order, seg_q, seg_t, seg_lo, lengths, A):
@@ -82,17 +101,22 @@ class TestKernelsMatchOracle:
         assert np.array_equal(got, _oracle_searchsorted(rows, targets, side))
 
     @settings(max_examples=60, deadline=None)
-    @given(dims=tables, A=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
-    def test_dense_counts(self, dims, A, seed):
-        m, n, _ = dims
+    @given(m=st.sampled_from([1, 3, 40, 400]), n=st.integers(1, 60),
+           A=st.sampled_from([0, 1, 2, 64]),
+           span=st.sampled_from([3, 300, 70_000, 2**40]),
+           block_cols=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+    def test_dense_counts(self, m, n, A, span, block_cols, seed):
+        """Both strategies against the oracle, on the codes an index
+        builds: uint8 and uint16 offsets, and the ranks of wide tables."""
         rng = np.random.default_rng(seed)
-        rank = np.stack([rng.permutation(n) for _ in range(m)]) \
-            .astype(np.int32).reshape(m, n)
-        lo = rng.integers(0, n + 1, (A, m))
-        hi = np.minimum(lo + rng.integers(0, n + 1, (A, m)), n)
-        got = kernels.dense_counts(rank, lo, hi)
-        assert got.dtype == np.int32
-        assert np.array_equal(got, _oracle_dense(rank, lo, hi))
+        ids = rng.integers(-span, span, (n, m))
+        counter = CollisionCounter(ids)
+        codes, widths = counter.codes, counter.code_widths
+        wlo, whi = _random_windows(rng, widths, A, codes.dtype)
+        want = _oracle_dense(codes, wlo, whi)
+        for got in _both_dense(codes, widths, wlo, whi, block_cols):
+            assert got.dtype == np.int32 and got.shape == (A, n)
+            assert np.array_equal(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(dims=tables, A=st.integers(1, 5), n_seg=st.integers(0, 12),
@@ -181,16 +205,18 @@ class TestAdversarialShapes:
         rows = np.empty((3, 0), dtype=np.int64)
         out = kernels.row_searchsorted(rows, np.array([1, 2, 3]))
         assert np.array_equal(out, np.zeros(3, dtype=np.int64))
-        counts = kernels.dense_counts(np.empty((3, 0), np.int32),
-                                      np.zeros((2, 3), np.int64),
-                                      np.zeros((2, 3), np.int64))
-        assert counts.shape == (2, 0)
+        for counts in _both_dense(np.empty((3, 0), np.uint8),
+                                  np.ones(3, np.int64),
+                                  np.zeros((2, 3), np.uint8),
+                                  np.zeros((2, 3), np.uint8), 4):
+            assert counts.shape == (2, 0)
 
     def test_empty_active_set(self):
-        rank = np.array([[0, 1, 2]], dtype=np.int32)
-        counts = kernels.dense_counts(rank, np.zeros((0, 1), np.int64),
-                                      np.zeros((0, 1), np.int64))
-        assert counts.shape == (0, 3)
+        codes = np.array([[0, 1, 2]], dtype=np.uint8)
+        for counts in _both_dense(codes, np.array([3]),
+                                  np.zeros((0, 1), np.uint8),
+                                  np.zeros((0, 1), np.uint8), 2):
+            assert counts.shape == (0, 3)
         qs, ids = kernels.crossings(np.zeros((0, 3), np.int32),
                                     np.zeros((0, 3), np.int32), 1)
         assert qs.size == 0 and ids.size == 0
@@ -200,6 +226,17 @@ class TestAdversarialShapes:
         z = np.zeros(0, np.int64)
         delta = kernels.sparse_counts(order, z, z, z, z, 4)
         assert delta.shape == (4, 3) and not delta.any()
+
+    def test_dense_counts_across_column_blocks(self):
+        """More objects than one comparison block; a ragged last block."""
+        rng = np.random.default_rng(5)
+        n = 2 * kernels._COMPARE_COLUMNS + 5
+        codes = rng.integers(0, 7, (4, n)).astype(np.uint8)
+        widths = np.full(4, 7)
+        wlo, whi = _random_windows(rng, widths, 3, np.uint8)
+        want = _oracle_dense(codes, wlo, whi)
+        for got in _both_dense(codes, widths, wlo, whi, 1000):
+            assert np.array_equal(got, want)
 
     def test_single_query_batch(self):
         rows = np.array([[0, 5, 5, 9]], dtype=np.int64)
