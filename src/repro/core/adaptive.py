@@ -14,9 +14,9 @@ direction; see docs/PERFORMANCE.md):
    candidate, T1, or T2 outcome is possible — skipping straight to the
    estimated level is *answer-preserving* (interval nesting makes the
    jumped-to counts equal the incremental ones). The estimate costs two
-   binary searches per table and grid level up to saturation, on data
+   bucket lookups per table and grid level up to saturation, on data
    already in memory, and charges no pages, consistent with the classic
-   path never charging its searchsorted descents.
+   path never charging its bucket lookups.
 
 2. **Likelihood-ordered probing** (:func:`probe_order`): within a round,
    tables are probed in descending *margin* order — the distance from the
@@ -207,8 +207,8 @@ def start_payload(counter, qids, c):
       row partitions, so the sharded coordinator's column-wise sum
       equals the unsharded table exactly.
 
-    Reads only the in-memory sorted id arrays; no pages are charged,
-    matching the classic path's uncharged searchsorted descent.
+    Reads only the in-memory bucket positions; no pages are charged,
+    matching the classic path's uncharged bucket lookups.
     """
     qids = np.asarray(qids, dtype=np.int64)
     sat = saturation_level(counter.id_span, c)
@@ -286,7 +286,7 @@ def skipped_round_pages(counter, qids, levels, c):
     Returns ``[(level, radius, queries, pages)]`` for every level below
     some query's start, pricing each round as classic would: fresh full
     intervals at level 0, then the incremental left/right extensions.
-    Costs the binary searches the estimator skipped, so callers only run
+    Costs the bucket lookups the estimator skipped, so callers only run
     this under an active trace (or in benchmarks).
     """
     pm = counter._pm

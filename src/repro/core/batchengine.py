@@ -1,15 +1,15 @@
 """Lockstep batch query engine: one block driver for every batch query.
 
 Answering one C2LSH query means walking the radius grid ``{1, c, c^2, ...}``
-and, at each step, binary-searching all ``m`` sorted hash tables and
-counting the newly covered entries. Every query walks the *same* grid over
-the *same* ``(m, n)`` tables, so a batch of ``Q`` queries is naturally
-data-parallel: this module advances all of them through each radius round
-simultaneously —
+and, at each step, locating the query's bucket in all ``m`` sorted hash
+tables and counting the newly covered entries. Every query walks the
+*same* grid over the *same* ``(m, n)`` tables, so a batch of ``Q`` queries
+is naturally data-parallel: this module advances all of them through each
+radius round simultaneously —
 
-* one batched binary search answers all ``Q × m`` interval extensions per
-  round (:func:`repro.storage.vsearch.row_searchsorted` with a ``(Q, m)``
-  target matrix);
+* one lookup in the tables' bucket starts answers all ``Q × m`` interval
+  extensions per round (:meth:`repro.core.counting.CollisionCounter.positions`;
+  a binary search only where a table spans more than 65,536 ids);
 * one counting pass updates all ``Q`` queries' collision counts — code
   comparisons, a matrix product over the tables' one-hot codes, or a
   gather of the newly covered entries, whichever :func:`_cheapest`
@@ -24,20 +24,22 @@ and every stopping decision (T2, then T1, then exhaustion, then the
 budget caps), the fallback's bookkeeping and the per-query
 :class:`~repro.core.results.QueryStats`; :func:`drive_block` walks the
 grid; a *round source* counts and verifies one round.
-:class:`LocalRounds` is the in-process lockstep source; the sharded
-engine's source fans each round out to shard workers
+:class:`LocalRounds` is the in-process lockstep source, and
+``C2LSH.query`` runs it as a one-query block (:func:`answer_one`); the
+sharded engine's source fans each round out to shard workers
 (:mod:`repro.sharding.engine`); :class:`QueryRounds` answers one query
-on a sequential per-query counter — ``C2LSH.query`` and ``QALSH.query``
-run the driver through it. Classic probing is the
+on a sequential per-query counter — ``QALSH.query`` and C2LSH's A2
+recount ablation run the driver through it. Classic probing is the
 :data:`~repro.core.adaptive.CLASSIC` preset of the adaptive schedule —
 every round scans all ``m`` tables in one pass, no start estimate — and
 differs from an explicit ``AdaptiveConfig(chunks=1,
 start_estimate=False)`` only in its telemetry labels and in reporting no
 probe counts.
 
-Classic is **bit-identical** to the sequential counting of
-:meth:`repro.core.c2lsh.C2LSH.query`: same candidate sets verified in the
-same per-query order, same termination reasons, same
+A classic block is **bit-identical** to answering each of its queries
+alone with :meth:`repro.core.c2lsh.C2LSH.query`, whatever the block size
+and counting strategy: same candidate sets verified in the same per-query
+order, same termination reasons, same
 :class:`~repro.core.results.QueryStats`, and the same page I/O charged per
 query (bucket scans are costed per segment by the shared
 ``PageManager.bucket_scan_pages`` formula and attributed back to each
@@ -72,8 +74,8 @@ from .counting import MAX_ROUNDS, _intervals_at
 from .results import QueryResult, QueryStats
 
 __all__ = ["BatchQueryCounter", "WithinRadiusTally", "QueryState",
-           "LocalRounds", "QueryRounds", "drive_block", "batch_query",
-           "MAX_ROUNDS"]
+           "LocalRounds", "QueryRounds", "answer_one", "drive_block",
+           "batch_query", "MAX_ROUNDS"]
 
 #: Estimated nanoseconds per unit of work of each counting strategy,
 #: measured with one BLAS thread on 2 vCPUs over the color, nus and mnist
@@ -852,17 +854,14 @@ class LocalRounds:
 class QueryRounds:
     """Round source for one query on a sequential per-query counter.
 
-    :meth:`repro.core.c2lsh.C2LSH.query` runs the block driver over a
-    one-query :class:`QueryState` fed by this source, counting on
-    :class:`~repro.core.counting.QueryCounter` (incremental, or the A2
-    recount); :class:`repro.core.qalsh.QALSH` plugs in its query-centred
-    window counter. Each round expands the counter, charges the scanned
-    entries and the page manager's delta over the expansion, and verifies
-    the newly frequent objects in ascending id order — counting, page
-    charging and crossing detection independent of
-    :class:`BatchQueryCounter`, so ``query()`` stays a reference for the
-    lockstep engine. The fallback is :class:`LocalRounds`' over a
-    ``(1, n)`` view of the counter's counts.
+    :meth:`repro.core.qalsh.QALSH.query` runs the block driver through it
+    over its query-centred window counter, and ``C2LSH.query`` over
+    :class:`~repro.core.counting.QueryCounter` in the A2 recount ablation
+    (``incremental=False``) only. Each round expands the counter, charges
+    the scanned entries and the page manager's delta over the expansion,
+    and verifies the newly frequent objects in ascending id order. The
+    fallback is :class:`LocalRounds`' over a ``(1, n)`` view of the
+    counter's counts.
     """
 
     round_span = "round"
@@ -873,19 +872,6 @@ class QueryRounds:
         self.counter = counter
         self.counts = counter.counts[None, :]
         self.is_candidate = np.zeros(self.counts.shape, dtype=bool)
-
-    def answer(self, state, qspan=trace.NULL_SPAN):
-        """Drive the one-query ``state`` from radius 1; annotate ``qspan``
-        with its stats and return its :class:`QueryResult`."""
-        drive_block(state, self, np.zeros(1, dtype=np.int64))
-        result, = state.results()
-        s = result.stats
-        qspan.set(rounds=s.rounds, final_radius=s.final_radius,
-                  candidates=s.candidates, scanned_entries=s.scanned_entries,
-                  io_reads=s.io_reads, io_writes=s.io_writes,
-                  terminated_by=s.terminated_by, elapsed_s=s.elapsed_s,
-                  degraded=s.degraded)
-        return result
 
     def run_round(self, state, group, radius, level):
         """One radius round of the query; returns its stop mask."""
@@ -912,6 +898,24 @@ class QueryRounds:
     best_unverified = LocalRounds.best_unverified
 
 
+def answer_one(state, source, qspan=trace.NULL_SPAN):
+    """Drive the one-query ``state`` through ``source`` from radius 1;
+    annotate ``qspan`` with its stats and return its :class:`QueryResult`.
+
+    ``C2LSH.query`` and ``QALSH.query`` answer through this; it opens no
+    ``batch_block`` span, so telemetry counts only batch calls as blocks.
+    """
+    drive_block(state, source, np.zeros(1, dtype=np.int64))
+    result, = state.results()
+    s = result.stats
+    qspan.set(rounds=s.rounds, final_radius=s.final_radius,
+              candidates=s.candidates, scanned_entries=s.scanned_entries,
+              io_reads=s.io_reads, io_writes=s.io_writes,
+              terminated_by=s.terminated_by, elapsed_s=s.elapsed_s,
+              degraded=s.degraded)
+    return result
+
+
 def _pages_saved(counter, exiting, remaining_tables, radius):
     """Pages the exiting queries' unprobed tables would have cost."""
     m = counter._index.m
@@ -923,9 +927,9 @@ def _pages_saved(counter, exiting, remaining_tables, radius):
 def _trace_skipped_starts(counter, qids, levels, c, m):
     """Emit one span per skipped start level with its would-be page bill.
 
-    Only runs under an active trace: pricing the skipped scans costs the
-    very binary searches the estimator avoided, so the fast path never
-    does this. Each span renders as an EXPLAIN row showing what the
+    Only runs under an active trace: pricing the skipped scans costs
+    bucket lookups at every skipped level, so the fast path never does
+    this. Each span renders as an EXPLAIN row showing what the
     classic schedule would have paid.
     """
     for level, radius, group, pages in skipped_round_pages(
@@ -944,8 +948,8 @@ def batch_query(index, queries, query_bucket_ids, k, started=None,
     """Answer ``Q`` queries in lockstep; returns a list of results.
 
     Drives one block of :class:`LocalRounds` through :func:`drive_block`,
-    the loop ``C2LSH.query`` runs over :class:`QueryRounds`: the same
-    termination rules and graceful fallback. ``config`` is an
+    as ``C2LSH.query`` does for a block of one: the same termination
+    rules and graceful fallback. ``config`` is an
     :class:`~repro.core.adaptive.AdaptiveConfig`, or ``None`` for
     classic; a chunked config needs ``uids``, the raw projections over
     the bucket width (``floor(uids) == query_bucket_ids``). ``started``

@@ -37,8 +37,9 @@ from ..obs import trace
 from ..reliability.budget import as_budget_list
 from ..validation import as_data_matrix, as_query_matrix, as_query_vector
 from ..storage.datafile import DataFile
-from .adaptive import as_probe_config, check_adaptive_supported
-from .batchengine import QueryRounds, QueryState, batch_query
+from .adaptive import CLASSIC, as_probe_config, check_adaptive_supported
+from .batchengine import (BatchQueryCounter, LocalRounds, QueryRounds,
+                          QueryState, answer_one, batch_query)
 from .counting import CollisionCounter
 from .scaling import resolve_base_radius
 from .params import C2LSHParams, design_params
@@ -222,9 +223,11 @@ class C2LSH:
                       qspan=trace.NULL_SPAN, budget=None):
         """Query with precomputed bucket ids (batch path hashes once).
 
-        Runs the block driver over a one-query
-        :class:`~repro.core.batchengine.QueryRounds` counting on this
-        index's sequential :class:`~repro.core.counting.QueryCounter`.
+        Runs the block driver over a one-query block: a
+        :class:`~repro.core.batchengine.LocalRounds` of the classic
+        schedule, the counting ``query_batch`` does, or in the A2 recount
+        ablation a :class:`~repro.core.batchengine.QueryRounds` over the
+        sequential :class:`~repro.core.counting.QueryCounter`.
         ``started`` anchors ``stats.elapsed_s`` (defaults to now);
         ``qspan`` is the enclosing telemetry span, annotated with the
         final stats before it closes. ``budget`` is checked at round
@@ -241,9 +244,13 @@ class C2LSH:
             accounting=self._pm is not None, engine="sequential",
             probing=False,
         )
-        counter = self._counter.start_query(query_bucket_ids,
-                                            incremental=self._incremental)
-        return QueryRounds(self, query, counter).answer(state, qspan)
+        if self._incremental:
+            source = LocalRounds(self, query[None, :],
+                                 query_bucket_ids[None, :], None, CLASSIC)
+        else:
+            source = QueryRounds(self, query, self._counter.start_query(
+                query_bucket_ids, incremental=False))
+        return answer_one(state, source, qspan)
 
     def query_radius(self, query, radius, k=1):
         """Answer the decision-version (R, c)-NNS the paper formalizes.
@@ -283,18 +290,18 @@ class C2LSH:
         with trace.span("query", k=int(k), decision=True) as qspan:
             with trace.span("hash"):
                 qids = self._funcs.hash(self._hash_view(query))
-            counter = self._counter.start_query(
-                qids, incremental=self._incremental,
-            )
+            counter = BatchQueryCounter(self._counter, qids[None, :])
             with trace.span("count_round", radius=grid_radius):
-                touched = counter.expand(grid_radius)
-                frequent = counter.frequent(params.l)[:target]
+                scanned, _ = counter.expand(grid_radius,
+                                            np.zeros(1, dtype=np.int64))
+                frequent = np.flatnonzero(
+                    counter.counts[0] >= params.l)[:target]
             with trace.span("verify", count=int(frequent.size)):
                 dists = self._verify(frequent, query)
             keep = dists <= params.c * radius
             stats = QueryStats(rounds=1, final_radius=grid_radius,
                                candidates=int(frequent.size),
-                               scanned_entries=int(touched.size),
+                               scanned_entries=int(scanned[0]),
                                terminated_by="decision")
             if snapshot is not None:
                 delta_io = self._pm.since(snapshot)
@@ -333,9 +340,9 @@ class C2LSH:
         Queries run through the lockstep batch engine
         (:mod:`repro.core.batchengine`): hashing is one ``(q, m)`` matrix
         product, and every radius round advances all still-active queries
-        with one batched binary search and one flat collision bincount.
-        Results — ids, distances, stats, charged I/O — are identical to
-        looping :meth:`query`; only the throughput changes. Candidate
+        with one bucket lookup and one counting pass. Results — ids,
+        distances, stats, charged I/O — are identical to looping
+        :meth:`query`; only the throughput changes. Candidate
         distances are verified on the calling thread, one query's
         candidates at a time.
 

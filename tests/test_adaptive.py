@@ -142,9 +142,10 @@ class TestEstimator:
         qids = self._qids(index, queries)
         got = start_payload(counter, qids, index.params.c)["collide"]
         sat = saturation_level(counter.id_span, index.params.c)
+        hashed = self._qids(index, data)
         for qi in range(qids.shape[0]):
             for t in range(counter.m):
-                ids = counter.sorted_ids[t]
+                ids = hashed[:, t]
                 level, radius = 0, 1
                 while level < sat:
                     anchor = (qids[qi, t] // radius) * radius
@@ -163,12 +164,13 @@ class TestEstimator:
         occ = start_payload(counter, qids, c)["occ"]
         sat = saturation_level(counter.id_span, c)
         assert occ.shape == (qids.shape[0], sat + 1)
+        hashed = self._qids(index, data)
         for qi in range(qids.shape[0]):
             radius = 1
             for level in range(sat + 1):
                 total = 0
                 for t in range(counter.m):
-                    ids = counter.sorted_ids[t]
+                    ids = hashed[:, t]
                     if radius >= 2 * (counter.id_span + 1):
                         total += ids.size
                     else:

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from repro import C2LSH, PageManager
+from repro import C2LSH, PageManager, QueryBudget
+from repro.core import batchengine
 from repro.data import exact_knn
 from repro.hashing import (
     BitSamplingFamily,
     PStableFamily,
     SignRandomProjectionFamily,
 )
+from repro.storage.hashfile import ENTRY_BYTES
 
 
 class TestFitValidation:
@@ -173,35 +175,92 @@ class TestTermination:
         assert len(result) == 5
 
     @staticmethod
-    def _paper_loop(index, hashed, data, q, k):
-        """The paper's query loop over brute-force collision counts:
-        ``(terminated_by, final_radius, rounds, candidates, answer ids)``."""
-        params = index.params
+    def _paper_loop(index, hashed, data, q, k, budget=None):
+        """The paper's query loop over brute-force collision counts.
+
+        Returns ``(terminated_by, final_radius, rounds, candidates,
+        scanned_entries, io_reads, budget_exhausted)`` and the answer ids
+        as a set. Pages are priced with the index's page manager's
+        formulas (0 without one); ``budget`` caps candidates and pages.
+        A single-granularity family stops after one round, and a finished
+        query short of ``k`` verifies its best-counted objects.
+        """
+        params, pm = index.params, index._pm
         n, m = hashed.shape
         hq = index._funcs.hash(index._hash_view(q))
         saturated = 2 * (index._counter.id_span + 1)
         dist = index._family.distance(data, q)
         target = min(n, k + params.false_positive_budget)
+        rehashable = index._funcs.rehashable
+        t1 = index._use_t1 and rehashable
+        object_pages = (0 if pm is None
+                        else max(1, pm.pages_for(1, data.shape[1] * 8)))
         verified = np.zeros(n, dtype=bool)
-        radius = 1
+        covered = np.zeros((n, m), dtype=bool)
+        scanned = pages = 0
+        radius, cap = 1, ""
         for rounds in range(1, 65):
-            counts = (np.full(n, m) if radius >= saturated
-                      else (hashed // radius == hq // radius).sum(axis=1))
-            verified |= counts >= params.l
+            inside = (np.ones((n, m), dtype=bool) if radius >= saturated
+                      else hashed // radius == hq // radius)
+            if rounds == 1 or not index._incremental:
+                segments = [inside.sum(axis=0)]
+            else:
+                # The ids newly covered below and above the last bucket
+                # are scanned as two segments per table.
+                new = inside & ~covered
+                below = hashed < (hq // (radius // params.c)) * (
+                    radius // params.c)
+                segments = [(new & below).sum(axis=0),
+                            (new & ~below).sum(axis=0)]
+            lengths = np.concatenate(segments)
+            scanned += int(lengths.sum())
+            if pm is not None:
+                pages += int(pm.bucket_scan_pages(
+                    lengths[lengths > 0], ENTRY_BYTES).sum())
+            covered = inside
+            counts = inside.sum(axis=1)
+            fresh = (counts >= params.l) & ~verified
+            verified |= fresh
+            pages += object_pages * int(fresh.sum())
             within = dist <= params.c * radius * index._scale
             if verified.sum() >= target:
                 reason = "T2"
-            elif (verified & within).sum() >= k:
+            elif t1 and (verified & within).sum() >= k:
                 reason = "T1"
-            elif (counts == m).all() or rounds == 64:
+            elif inside.all() or rounds == 64 or not rehashable:
                 reason = "exhausted"
             else:
-                radius *= params.c
-                continue
-            ids = np.flatnonzero(verified)
-            best = ids[np.argsort(dist[ids], kind="stable")[:k]]
-            return (reason, radius, rounds, int(verified.sum()),
-                    set(best.tolist()))
+                if budget is not None:
+                    if (budget.max_candidates is not None
+                            and verified.sum() >= budget.max_candidates):
+                        cap = "candidates"
+                    elif (budget.max_io_pages is not None and pm is not None
+                          and pages >= budget.max_io_pages):
+                        cap = "io_pages"
+                if not cap:
+                    radius *= params.c
+                    continue
+                reason = "budget"
+            break
+        if verified.sum() < k:
+            need = k - int(verified.sum()) + params.false_positive_budget
+            rest = np.flatnonzero(~verified)
+            extra = rest[np.argsort(-counts[rest], kind="stable")[:need]]
+            verified[extra] = True
+            pages += object_pages * extra.size
+            if extra.size and not cap:
+                reason = "fallback"
+        ids = np.flatnonzero(verified)
+        best = ids[np.argsort(dist[ids], kind="stable")[:k]]
+        return ((reason, radius, rounds, int(verified.sum()), scanned,
+                 pages, cap), set(best.tolist()))
+
+    @staticmethod
+    def _observed(result):
+        s = result.stats
+        return ((s.terminated_by, s.final_radius, s.rounds, s.candidates,
+                 s.scanned_entries, s.io_reads, s.budget_exhausted),
+                set(result.ids.tolist()))
 
     @pytest.mark.parametrize("case", ["clustered", "tiny", "tiny_k_over_n"])
     def test_query_and_batch_follow_the_paper_loop(self, case, clustered,
@@ -218,9 +277,81 @@ class TestTermination:
         for q, batched in zip(queries, index.query_batch(queries, k=k)):
             want = self._paper_loop(index, hashed, data, q, k)
             for r in (index.query(q, k=k), batched):
-                s = r.stats
-                assert (s.terminated_by, s.final_radius, s.rounds,
-                        s.candidates, set(r.ids.tolist())) == want
+                assert self._observed(r) == want
+
+    @pytest.mark.parametrize("case", ["candidates_cap", "pages_cap",
+                                      "sign_family", "no_t1", "recount"])
+    def test_every_mode_follows_the_paper_loop(self, case, clustered):
+        """Budgets, a single-granularity family, T1 off and the recount
+        ablation, each with a page manager: ``query()`` and
+        ``query_batch`` both match the brute-force loop."""
+        data, held = clustered
+        noise = np.random.default_rng(0).normal(0.0, 40.0, held.shape)
+        queries = np.vstack([held, held + noise])
+        knobs = {"candidates_cap": {}, "pages_cap": {},
+                 "sign_family": {"family": SignRandomProjectionFamily(
+                     data.shape[1])},
+                 "no_t1": {"use_t1": False},
+                 "recount": {"incremental": False}}[case]
+        budget = {"candidates_cap": QueryBudget(max_candidates=20),
+                  "pages_cap": QueryBudget(max_io_pages=300)}.get(case)
+        # At k = 100 neither T1 nor T2 ends the held-out queries' first
+        # round, so the candidate cap does.
+        k = 100 if case == "candidates_cap" else 10
+        index = C2LSH(seed=0, page_manager=PageManager(), **knobs).fit(data)
+        hashed = index._funcs.hash(index._hash_view(data))
+        seen = []
+        batched = index.query_batch(queries, k=k, budget=budget)
+        for q, b in zip(queries, batched):
+            want = self._paper_loop(index, hashed, data, q, k, budget)
+            for r in (index.query(q, k=k, budget=budget), b):
+                assert self._observed(r) == want
+            seen.append(want)
+        reasons = {stats[0] for stats, _ in seen}
+        caps = {stats[6] for stats, _ in seen}
+        # Each case reaches the behaviour it is about.
+        assert {"candidates_cap": "candidates" in caps,
+                "pages_cap": "io_pages" in caps,
+                "sign_family": "fallback" in reasons,
+                "no_t1": "T1" not in reasons,
+                "recount": max(stats[2] for stats, _ in seen) > 1}[case]
+        if case == "recount":
+            # Incremental counting: the same answers, fewer scanned entries.
+            inc = C2LSH(seed=0, page_manager=PageManager()).fit(data)
+            fewer = 0
+            for q, (stats, ids) in zip(queries, seen):
+                r = inc.query(q, k=k)
+                assert (r.stats.terminated_by, r.stats.candidates,
+                        set(r.ids.tolist())) == (stats[0], stats[3], ids)
+                assert r.stats.scanned_entries <= stats[4]
+                fewer += r.stats.scanned_entries < stats[4]
+            assert fewer
+
+    def test_product_block_follows_the_paper_loop(self, clustered,
+                                                  monkeypatch):
+        """A block large enough for the float32 product keeps every
+        answer and stat of the brute-force loop."""
+        data, held = clustered
+        rng = np.random.default_rng(1)
+        queries = np.vstack([
+            held, held + rng.normal(0.0, 40.0, held.shape),
+            data[rng.integers(0, data.shape[0], 30)]
+            + rng.normal(0.0, 1.0, (30, data.shape[1]))])
+        index = C2LSH(seed=0, page_manager=PageManager()).fit(data)
+        hashed = index._funcs.hash(index._hash_view(data))
+        chosen = []
+        cheapest = batchengine._cheapest
+
+        def spy(*args):
+            chosen.append(cheapest(*args))
+            return chosen[-1]
+
+        monkeypatch.setattr(batchengine, "_cheapest", spy)
+        results = index.query_batch(queries, k=10)
+        assert chosen[0] == "product"
+        for q, r in zip(queries, results):
+            assert self._observed(r) == self._paper_loop(index, hashed,
+                                                         data, q, 10)
 
 
 class TestIOAccounting:

@@ -64,8 +64,12 @@ class TestTableLayout:
                               np.argsort(ids.T, axis=1, kind="stable"))
         # No code range is sized by a table's raw span.
         assert counter.codes.dtype.itemsize <= 2 or counter.codes.max() < n
+        low, high = ids.min(axis=0), ids.max(axis=0)
+        far = np.array([[2**40], [-2**40], [2**62], [-2**62]])
         qids = np.concatenate((rng.integers(-span - 5, span + 5, (3, m)),
-                               ids[rng.integers(0, n, 3)]))
+                               ids[rng.integers(0, n, 3)],
+                               np.stack((low - 1, low, high, high + 1)),
+                               np.repeat(far, m, axis=1)))
         lo, hi = _intervals_at(counter, qids, radius)
         wlo, whi = counter.code_windows(lo, hi)
         saturated = radius >= 2 * (counter.id_span + 1)
@@ -89,6 +93,13 @@ class TestTableLayout:
         assert wide.codes.dtype == np.uint8  # ranks below n = 10
         assert np.array_equal(wide.codes[1], np.arange(10))
         assert np.array_equal(wide.code_widths, [10, 10])
+        # Rank-coded tables search their ids; byte-coded ones look up
+        # bucket starts, one per code plus one per table.
+        assert wide.bucket_starts is None and wide.sorted_ids is not None
+        narrow = CollisionCounter(base * [1, 2])
+        assert narrow.sorted_ids is None
+        assert np.array_equal(narrow.bucket_starts,
+                              np.r_[0:11, (np.arange(20) + 1) // 2])
 
 
 class TestCountsCorrectness:
@@ -206,14 +217,6 @@ class TestExpansionProtocol:
                 brute_counts(bucket_ids, qids, radius) >= threshold
             ).tolist())
             assert reported == expected
-
-    def test_frequent_helper(self, small_index):
-        bucket_ids, qids = small_index
-        qc = CollisionCounter(bucket_ids).start_query(qids)
-        qc.expand(1)
-        assert set(qc.frequent(2).tolist()) == set(
-            np.flatnonzero(brute_counts(bucket_ids, qids, 1) >= 2).tolist()
-        )
 
 
 class TestRecountMode:

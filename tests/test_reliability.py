@@ -10,6 +10,7 @@ from __future__ import annotations
 import gc
 import os
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -559,6 +560,32 @@ class TestPersistenceChaos:
             load_c2lsh(path)
         assert err.value.section == "projections"
         assert "projections" in str(err.value)
+
+    def test_flipped_byte_in_stored_member_named(self, saved):
+        index, path, _ = saved
+        raw = bytearray(path.read_bytes())
+        # Members are stored, so the array's bytes sit in the file as is.
+        pos = raw.find(index._funcs._projections.tobytes())
+        assert pos > 0
+        raw[pos + 3] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptIndexError) as err:
+            load_c2lsh(path)
+        assert err.value.section == "projections"
+
+    def test_deflated_container_still_loads(self, saved):
+        index, path, queries = saved
+        with np.load(path) as blob:
+            members = dict(blob)
+        np.savez_compressed(path, **members)
+        with zipfile.ZipFile(path) as archive:
+            assert {i.compress_type for i in archive.infolist()} \
+                == {zipfile.ZIP_DEFLATED}
+        loaded = load_c2lsh(path)
+        for q in queries:
+            want, got = index.query(q, k=3), loaded.query(q, k=3)
+            assert np.array_equal(got.ids, want.ids)
+            assert np.array_equal(got.distances, want.distances)
 
     def test_truncated_file_rejected(self, saved):
         _, path, _ = saved
